@@ -74,7 +74,7 @@ fn bench_candidate_generation(c: &mut Criterion) {
     // any regression of it) shows up next to the optimized number above.
     c.bench_function("candidate_generation_minhash_reference", |b| {
         b.iter(|| {
-            let sets = slugger_core::candidates::reference::candidate_sets(
+            let sets = slugger_core::testsupport::reference_candidate_sets(
                 black_box(&summary),
                 black_box(&graph),
                 &roots,

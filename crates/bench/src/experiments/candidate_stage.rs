@@ -6,9 +6,9 @@
 //! `shingles()` call — once per group per split round — which made it the dominant
 //! serial stage as soon as the merge stage was parallelized.  The optimized path
 //! hashes lazily per touched node and buckets by sorting (see
-//! `slugger_core::candidates`); [`slugger_core::candidates::reference`] keeps the
-//! naive implementation alive as both the determinism oracle and the baseline this
-//! experiment measures against.
+//! `slugger_core::candidates`); [`slugger_core::testsupport::reference_candidate_sets`]
+//! keeps the naive implementation alive as both the determinism oracle and the
+//! baseline this experiment measures against.
 
 use crate::experiments::heading;
 use crate::history;
@@ -16,6 +16,7 @@ use crate::runner::ExperimentScale;
 use crate::table::{fmt_duration, TableWriter};
 use slugger_core::candidates::{self, CandidateConfig, CandidateScratch};
 use slugger_core::model::HierarchicalSummary;
+use slugger_core::testsupport::reference_candidate_sets;
 use slugger_core::{Slugger, SluggerConfig};
 use slugger_graph::gen::{rmat, RmatConfig};
 use std::time::{Duration, Instant};
@@ -237,8 +238,7 @@ pub fn run_with(scale: &ExperimentScale, options: &CandidateStageOptions) -> Str
             );
             optimized += start.elapsed();
             let start = Instant::now();
-            let slow =
-                candidates::reference::candidate_sets(&summary, &graph, &roots, seed, &config);
+            let slow = reference_candidate_sets(&summary, &graph, &roots, seed, &config);
             reference += start.elapsed();
             assert_eq!(fast, slow, "optimized grouping diverged from the reference");
         }

@@ -30,13 +30,6 @@
 //!   unpruned maintenance);
 //! * `--compact-ratio R` — arena compaction threshold (default 0.5; 0 disables;
 //!   CI forces a low ratio to smoke the compaction path);
-//! * `--whole-tree` — disable subtree-granular partial dissolution (the legacy
-//!   whole-tree region dissolution; the comparison point for the `Dslv/Rgn`
-//!   ratio column);
-//! * `--no-candidate-index` — disable the persistent batch-to-batch candidate
-//!   index (`IncrementalConfig::candidate_index`), keeping the index-free path
-//!   reachable as the pinned reference (the `Rsh/Dirty` and `Hit` columns then
-//!   report full re-shingling);
 //! * `--input PATH` — stream a real SNAP-format edge list (see
 //!   `slugger_graph::io::read_snap_file` for the dedup/self-loop policy) instead
 //!   of the generated RMAT/caveman graphs;
@@ -70,7 +63,6 @@ use crate::table::{fmt_duration, TableWriter};
 use slugger_baselines::{MossoConfig, MossoSummarizer};
 use slugger_core::decode::{canonical_form, decode_full};
 use slugger_core::incremental::{BatchReport, IncrementalConfig, IncrementalSummarizer};
-use slugger_core::prune::{prune_region_with, PairIndex, DEFAULT_MAX_PAIR_PRODUCT};
 use slugger_core::storage::durable::{DirIo, DurablePolicy, DurableSummarizer};
 use slugger_core::{Slugger, SluggerConfig};
 use slugger_graph::gen::{caveman, rmat, CavemanConfig, RmatConfig};
@@ -95,10 +87,6 @@ pub struct StreamingOptions {
     pub prune_rounds: Option<usize>,
     /// Arena compaction threshold (`--compact-ratio`; `None` = library default).
     pub compact_dead_ratio: Option<f64>,
-    /// Disable subtree-granular partial dissolution (`--whole-tree`).
-    pub whole_tree: bool,
-    /// Disable the persistent candidate index (`--no-candidate-index`).
-    pub no_candidate_index: bool,
     /// Stream a real SNAP-format edge list instead of the generated graphs
     /// (`--input`).
     pub input_path: Option<String>,
@@ -147,12 +135,6 @@ impl StreamingOptions {
                             .unwrap_or_else(|_| panic!("--compact-ratio: not a ratio: {v:?}")),
                     );
                 }
-                "--whole-tree" => {
-                    out.whole_tree = true;
-                }
-                "--no-candidate-index" => {
-                    out.no_candidate_index = true;
-                }
                 "--input" => {
                     out.input_path = Some(iter.next().expect("--input needs a path"));
                 }
@@ -199,12 +181,6 @@ impl StreamingOptions {
         }
         if let Some(ratio) = self.compact_dead_ratio {
             config.compact_dead_ratio = ratio;
-        }
-        if self.whole_tree {
-            config.partial_dissolution = false;
-        }
-        if self.no_candidate_index {
-            config.candidate_index = false;
         }
         if let Some(every) = self.validate_every {
             config.validate_every = every;
@@ -263,15 +239,6 @@ struct BatchRow {
     arena_len: usize,
     dead_slots: usize,
     compacted_slots: usize,
-}
-
-/// Flat-vs-hash timings of the region-prune pair bookkeeping on one stream's
-/// final maintained summary (identical outputs asserted; see
-/// `slugger_core::prune::PairIndex`).
-struct PruneCmp {
-    region_roots: usize,
-    flat_secs: f64,
-    hash_secs: f64,
 }
 
 /// A prepared stream — initial snapshot plus delta batches — however it was
@@ -341,7 +308,6 @@ struct StreamRun {
     bootstrap_secs: f64,
     mosso_bootstrap_secs: f64,
     rows: Vec<BatchRow>,
-    prune_cmp: Option<PruneCmp>,
     /// Present in `--durable-dir` mode: what the durable layer did (fresh
     /// stream / recovery) and the end-of-stream identity check.
     durable_note: Option<String>,
@@ -419,11 +385,11 @@ pub fn run_with(scale: &ExperimentScale, options: &StreamingOptions) -> String {
         "\nDecode-identity is asserted after every batch: the incrementally maintained \
          summary and a from-scratch run see the identical current graph.  `Dslv/Rgn` \
          is subnodes re-expanded over subnodes held by the dirty region — the \
-         partial-dissolution win (1.0 under `--whole-tree`); `Lcl+Dslv` is the \
+         partial-dissolution win; `Lcl+Dslv` is the \
          localize + dissolve share of the incremental time.  `Rsh/Dirty` is roots \
          (re-)shingled by the candidate stage over dirty roots and `Hit` the \
-         persistent candidate index's cache-hit rate (0% under \
-         `--no-candidate-index`), with `Cand` the candidate-stage share of the \
+         persistent candidate index's cache-hit rate, with `Cand` the \
+         candidate-stage share of the \
          incremental time — per-batch candidate cost should track the *dirty* \
          count, not the region.  `Speedup` is \
          rebuild time over incremental time for the same batch; `Prune` is the \
@@ -655,7 +621,6 @@ fn stream_section(
             note.push_str("  End-of-stream canonical identity with an uninterrupted run: OK.");
         }
     }
-    let prune_cmp = compare_pair_indexes(maintainer.inner().summary(), &current.to_graph());
 
     StreamRun {
         name,
@@ -666,59 +631,8 @@ fn stream_section(
         bootstrap_secs: bootstrap_elapsed.as_secs_f64(),
         mosso_bootstrap_secs: mosso_bootstrap.as_secs_f64(),
         rows,
-        prune_cmp,
         durable_note,
     }
-}
-
-/// Times one round of region pruning (substep-3 pair bookkeeping included) over a
-/// hub-adjacent region of the final maintained summary, once per
-/// [`PairIndex`] path, each on its own clone — and asserts the two paths report
-/// identical changes (the byte-identity itself is unit-pinned in
-/// `slugger_core::prune`).  The region is the roots holding the 64 highest-degree
-/// subnodes plus every summary-adjacent root — the hub-adjacent shape where the
-/// hash-map path pays per-root rebuild cost.
-fn compare_pair_indexes(
-    summary: &slugger_core::model::HierarchicalSummary,
-    graph: &Graph,
-) -> Option<PruneCmp> {
-    let mut by_degree: Vec<u32> = (0..graph.num_nodes() as u32).collect();
-    by_degree.sort_unstable_by_key(|&u| std::cmp::Reverse(graph.degree(u)));
-    let mut region: Vec<u32> = Vec::new();
-    for &u in by_degree.iter().take(64) {
-        let root = summary.root_of(u);
-        region.push(root);
-        region.extend(summary.incident(root));
-    }
-    region.sort_unstable();
-    region.dedup();
-    if region.is_empty() {
-        return None;
-    }
-    let time_path = |index: PairIndex| -> (f64, usize) {
-        let mut clone = summary.clone();
-        let start = Instant::now();
-        let report = prune_region_with(
-            &mut clone,
-            graph,
-            &region,
-            1,
-            DEFAULT_MAX_PAIR_PRODUCT,
-            index,
-        );
-        (start.elapsed().as_secs_f64(), report.total_changes())
-    };
-    let (flat_secs, flat_changes) = time_path(PairIndex::Flat);
-    let (hash_secs, hash_changes) = time_path(PairIndex::Hash);
-    assert_eq!(
-        flat_changes, hash_changes,
-        "flat and hash pair-index paths diverged on the hub-adjacent region"
-    );
-    Some(PruneCmp {
-        region_roots: region.len(),
-        flat_secs,
-        hash_secs,
-    })
 }
 
 fn render_section(run: &StreamRun, iterations: usize) -> String {
@@ -802,16 +716,6 @@ fn render_section(run: &StreamRun, iterations: usize) -> String {
         fmt_duration(std::time::Duration::from_secs_f64(rebuild_total)),
         rebuild_total / inc_total.max(1e-9),
     ));
-    if let Some(cmp) = &run.prune_cmp {
-        out.push_str(&format!(
-            "Region-prune pair index on the final summary's hub-adjacent region \
-             ({} roots): flat {} vs hash {} ({:.2}x), identical changes asserted.\n",
-            cmp.region_roots,
-            fmt_duration(std::time::Duration::from_secs_f64(cmp.flat_secs)),
-            fmt_duration(std::time::Duration::from_secs_f64(cmp.hash_secs)),
-            cmp.hash_secs / cmp.flat_secs.max(1e-9),
-        ));
-    }
     if let Some(note) = &run.durable_note {
         out.push_str(&format!("{note}\n"));
     }
@@ -831,16 +735,13 @@ fn render_json(scale: &ExperimentScale, options: &StreamingOptions, runs: &[Stre
         scale.shards
     ));
     out.push_str(&format!(
-        "  \"prune_rounds\": {}, \"compact_dead_ratio\": {}, \"partial_dissolution\": {}, \
-         \"candidate_index\": {}, \"scenario\": \"{}\",\n",
+        "  \"prune_rounds\": {}, \"compact_dead_ratio\": {}, \"scenario\": \"{}\",\n",
         options
             .prune_rounds
             .unwrap_or(IncrementalConfig::default().prune_rounds),
         options
             .compact_dead_ratio
             .unwrap_or(IncrementalConfig::default().compact_dead_ratio),
-        !options.whole_tree,
-        !options.no_candidate_index,
         options.scenario.as_deref().unwrap_or("none"),
     ));
     out.push_str("  \"streams\": [\n");
@@ -894,16 +795,8 @@ fn render_json(scale: &ExperimentScale, options: &StreamingOptions, runs: &[Stre
                 if bi + 1 < run.rows.len() { "," } else { "" }
             ));
         }
-        out.push_str("    ]");
-        if let Some(cmp) = &run.prune_cmp {
-            out.push_str(&format!(
-                ", \"prune_pair_index\": {{\"region_roots\": {}, \"flat_secs\": {:.6}, \
-                 \"hash_secs\": {:.6}}}",
-                cmp.region_roots, cmp.flat_secs, cmp.hash_secs
-            ));
-        }
         out.push_str(&format!(
-            "}}{}\n",
+            "    ]}}{}\n",
             if si + 1 < runs.len() { "," } else { "" }
         ));
     }
@@ -923,7 +816,6 @@ fn history_record(
         "{{\"experiment\": \"streaming\", \"git_sha\": \"{}\", \"unix_time\": {}, \
          \"scale\": {}, \"iterations\": {}, \"seed\": {}, \"threads\": {}, \
          \"shards\": {}, \"prune_rounds\": {}, \"compact_dead_ratio\": {}, \
-         \"partial_dissolution\": {}, \"candidate_index\": {}, \
          \"scenario\": \"{}\", \"streams\": [",
         history::git_sha(),
         history::unix_time(),
@@ -938,8 +830,6 @@ fn history_record(
         options
             .compact_dead_ratio
             .unwrap_or(IncrementalConfig::default().compact_dead_ratio),
-        !options.whole_tree,
-        !options.no_candidate_index,
         options.scenario.as_deref().unwrap_or("none"),
     );
     for (si, run) in runs.iter().enumerate() {
@@ -956,7 +846,7 @@ fn history_record(
              \"incr_total_secs\": {:.6}, \"rebuild_total_secs\": {:.6}, \
              \"dissolved_subnodes\": {}, \"region_subnodes\": {}, \
              \"reshingled_roots\": {}, \"cached_roots\": {}, \
-             \"candidates_total_secs\": {:.6}, \"final_cost\": {}",
+             \"candidates_total_secs\": {:.6}, \"final_cost\": {}}}",
             if si > 0 { ", " } else { "" },
             run.name,
             run.num_nodes,
@@ -970,13 +860,6 @@ fn history_record(
             candidates_total,
             final_cost,
         ));
-        if let Some(cmp) = &run.prune_cmp {
-            out.push_str(&format!(
-                ", \"prune_flat_secs\": {:.6}, \"prune_hash_secs\": {:.6}",
-                cmp.flat_secs, cmp.hash_secs
-            ));
-        }
-        out.push('}');
     }
     out.push_str("]}");
     out

@@ -13,8 +13,7 @@
 //!
 //! Two records are comparable only when every config field of the spec matches
 //! (for streaming: `scale`, `iterations`, `seed`, `threads`, `shards`,
-//! `prune_rounds`, `compact_dead_ratio`, `partial_dissolution`,
-//! `candidate_index`, `scenario`; for query serving: `scale`, `iterations`,
+//! `prune_rounds`, `compact_dead_ratio`, `scenario`; for query serving: `scale`, `iterations`,
 //! `seed`, `threads`, `shards`, `workers`, `scenario` — so each `--scenario`
 //! stream tracks its own baseline).  A record missing any of them (e.g. history
 //! lines written before a field existed) is never comparable, so introducing a
@@ -70,8 +69,6 @@ pub const STREAMING_GATE: GateSpec = GateSpec {
         "shards",
         "prune_rounds",
         "compact_dead_ratio",
-        "partial_dissolution",
-        "candidate_index",
         "scenario",
     ],
     metric: "incr_total_secs",
@@ -229,13 +226,13 @@ fn raw_value<'a>(line: &'a str, field: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
 
-    fn record(sha: &str, candidate_index: bool, rmat_secs: f64, caveman_secs: f64) -> String {
-        scenario_record(sha, candidate_index, "none", rmat_secs, caveman_secs)
+    fn record(sha: &str, prune_rounds: usize, rmat_secs: f64, caveman_secs: f64) -> String {
+        scenario_record(sha, prune_rounds, "none", rmat_secs, caveman_secs)
     }
 
     fn scenario_record(
         sha: &str,
-        candidate_index: bool,
+        prune_rounds: usize,
         scenario: &str,
         rmat_secs: f64,
         caveman_secs: f64,
@@ -243,8 +240,7 @@ mod tests {
         format!(
             "{{\"experiment\": \"streaming\", \"git_sha\": \"{sha}\", \"unix_time\": 1, \
              \"scale\": 1, \"iterations\": 5, \"seed\": 0, \"threads\": 1, \"shards\": 8, \
-             \"prune_rounds\": 2, \"compact_dead_ratio\": 0.5, \
-             \"partial_dissolution\": true, \"candidate_index\": {candidate_index}, \
+             \"prune_rounds\": {prune_rounds}, \"compact_dead_ratio\": 0.5, \
              \"scenario\": \"{scenario}\", \
              \"streams\": [{{\"name\": \"RMAT\", \"incr_total_secs\": {rmat_secs:.6}, \
              \"rebuild_total_secs\": 9.0}}, {{\"name\": \"Caveman\", \
@@ -252,26 +248,26 @@ mod tests {
         )
     }
 
-    /// A pre-gate record without the `candidate_index` field.
+    /// A pre-gate record without the `scenario` field.
     fn legacy_record(rmat_secs: f64) -> String {
         format!(
             "{{\"experiment\": \"streaming\", \"scale\": 1, \"iterations\": 5, \"seed\": 0, \
              \"threads\": 1, \"shards\": 8, \"prune_rounds\": 2, \
-             \"compact_dead_ratio\": 0.5, \"partial_dissolution\": true, \
+             \"compact_dead_ratio\": 0.5, \
              \"streams\": [{{\"name\": \"RMAT\", \"incr_total_secs\": {rmat_secs:.6}}}]}}"
         )
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let lines = vec![record("a", true, 5.0, 1.0), record("b", true, 5.5, 1.1)];
+        let lines = vec![record("a", 2, 5.0, 1.0), record("b", 2, 5.5, 1.1)];
         let verdict = check_lines(&lines, false).unwrap();
         assert!(verdict.contains("within 20%"), "{verdict}");
     }
 
     #[test]
     fn regression_fails_and_names_the_stream() {
-        let lines = vec![record("a", true, 5.0, 1.0), record("b", true, 6.5, 1.0)];
+        let lines = vec![record("a", 2, 5.0, 1.0), record("b", 2, 6.5, 1.0)];
         let err = check_lines(&lines, false).unwrap_err();
         assert!(err.contains("RMAT"), "{err}");
         assert!(!err.contains("Caveman: incr"), "{err}");
@@ -279,16 +275,16 @@ mod tests {
 
     #[test]
     fn escape_hatch_waives_the_failure() {
-        let lines = vec![record("a", true, 5.0, 1.0), record("b", true, 6.5, 1.0)];
+        let lines = vec![record("a", 2, 5.0, 1.0), record("b", 2, 6.5, 1.0)];
         let verdict = check_lines(&lines, true).unwrap();
         assert!(verdict.contains("waived"), "{verdict}");
     }
 
     #[test]
     fn different_configs_are_not_compared() {
-        // The only earlier record ran with the index off — slower, but not a
-        // comparable baseline.
-        let lines = vec![record("a", false, 2.0, 0.5), record("b", true, 6.5, 1.0)];
+        // The only earlier record ran with fewer prune rounds — faster, but not
+        // a comparable baseline.
+        let lines = vec![record("a", 0, 2.0, 0.5), record("b", 2, 6.5, 1.0)];
         let verdict = check_lines(&lines, false).unwrap();
         assert!(verdict.contains("baseline established"), "{verdict}");
     }
@@ -298,15 +294,15 @@ mod tests {
         // A slower adversarial scenario run must not gate against the default
         // stream (or another scenario): the scenario name is part of the key.
         let lines = vec![
-            record("a", true, 5.0, 1.0),
-            scenario_record("b", true, "powerlaw-hub-death", 9.0, 2.0),
+            record("a", 2, 5.0, 1.0),
+            scenario_record("b", 2, "powerlaw-hub-death", 9.0, 2.0),
         ];
         let verdict = check_lines(&lines, false).unwrap();
         assert!(verdict.contains("baseline established"), "{verdict}");
         // Same scenario twice: comparable, and a regression fails.
         let lines = vec![
-            scenario_record("a", true, "powerlaw-hub-death", 5.0, 1.0),
-            scenario_record("b", true, "powerlaw-hub-death", 6.5, 1.0),
+            scenario_record("a", 2, "powerlaw-hub-death", 5.0, 1.0),
+            scenario_record("b", 2, "powerlaw-hub-death", 6.5, 1.0),
         ];
         let err = check_lines(&lines, false).unwrap_err();
         assert!(err.contains("RMAT"), "{err}");
@@ -314,7 +310,7 @@ mod tests {
 
     #[test]
     fn records_missing_config_fields_are_skipped() {
-        let lines = vec![legacy_record(2.0), record("b", true, 6.5, 1.0)];
+        let lines = vec![legacy_record(2.0), record("b", 2, 6.5, 1.0)];
         let verdict = check_lines(&lines, false).unwrap();
         assert!(verdict.contains("baseline established"), "{verdict}");
         // A legacy record under test is skipped outright.
@@ -326,7 +322,7 @@ mod tests {
     #[test]
     fn smoke_scale_noise_is_not_gated() {
         // 50ms -> 90ms is an 80% "regression" — all noise at that scale.
-        let lines = vec![record("a", true, 0.05, 0.02), record("b", true, 0.09, 0.04)];
+        let lines = vec![record("a", 2, 0.05, 0.02), record("b", 2, 0.09, 0.04)];
         let verdict = check_lines(&lines, false).unwrap();
         assert!(verdict.contains("within 20%"), "{verdict}");
     }
@@ -334,9 +330,9 @@ mod tests {
     #[test]
     fn improvement_updates_the_baseline_chain() {
         let lines = vec![
-            record("a", true, 8.0, 2.0),
-            record("b", true, 5.0, 1.0),
-            record("c", true, 5.4, 1.1),
+            record("a", 2, 8.0, 2.0),
+            record("b", 2, 5.0, 1.0),
+            record("c", 2, 5.4, 1.1),
         ];
         // c compares against b (the most recent same-config record), not a:
         // 5.4s is within 20% of b's 5.0s but would also pass against a's 8.0s,
@@ -345,9 +341,9 @@ mod tests {
         let verdict = check_lines(&lines, false).unwrap();
         assert!(verdict.contains("within 20%"), "{verdict}");
         let lines = vec![
-            record("a", true, 8.0, 2.0),
-            record("b", true, 5.0, 1.0),
-            record("c", true, 6.5, 1.1),
+            record("a", 2, 8.0, 2.0),
+            record("b", 2, 5.0, 1.0),
+            record("c", 2, 6.5, 1.1),
         ];
         let err = check_lines(&lines, false).unwrap_err();
         assert!(err.contains("5.000s -> 6.500s"), "{err}");

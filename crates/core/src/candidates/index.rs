@@ -56,8 +56,8 @@
 //! byte-identical to the index-free path by construction (two sorted sequences
 //! over disjoint root sets merge to the same total order the full sort
 //! reaches), and `tests/candidate_index.rs` pins it against
-//! [`super::reference`] through random delta/prune/compact/recovery
-//! interleavings.
+//! [`crate::testsupport::reference_candidate_sets`] through random
+//! delta/prune/compact/recovery interleavings.
 
 use super::{fill_keyed, random_split, CandidateConfig, CandidateScratch};
 use crate::model::{CompactionMap, HierarchicalSummary, SupernodeId};
@@ -328,7 +328,7 @@ impl CandidateIndex {
 /// member neighborhoods changed since its entry was cached must have been
 /// retired through [`IndexSink::retire_root`] (see the module docs for the
 /// event inventory).  `tests/candidate_index.rs` pins the equivalence with
-/// [`super::reference::candidate_sets`] under random interleavings.
+/// [`crate::testsupport::reference_candidate_sets`] under random interleavings.
 #[allow(clippy::too_many_arguments)]
 pub fn candidate_sets_indexed<G: AdjacencyList + Sync>(
     summary: &HierarchicalSummary,

@@ -37,14 +37,14 @@
 //!   substrate already used by [`crate::pipeline`].  The fold is a pure map, so the
 //!   chunking — and hence the thread count — never changes the grouping; byte-identical
 //!   output for a fixed seed is pinned by `tests/candidate_determinism.rs` against the
-//!   straightforward [`mod@reference`] implementation.
+//!   straightforward [`crate::testsupport::reference_candidate_sets`] oracle.
 
 use crate::model::{HierarchicalSummary, SupernodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use slugger_graph::hash::splitmix64;
-use slugger_graph::{AdjacencyList, Graph};
+use slugger_graph::AdjacencyList;
 
 pub mod index;
 
@@ -303,104 +303,12 @@ pub fn candidate_sets_with<G: AdjacencyList + Sync>(
     result
 }
 
-/// Straightforward reference implementation of the candidate stage, kept as the
-/// oracle for the optimized hot path.
-///
-/// Identical algorithm and identical output to [`candidate_sets_with`] for every
-/// seed, but written the obvious way: every shingle pass materialises the full
-/// per-node hash table over all `|V|` subnodes (O(|V|) per call) and runs on one
-/// thread with fresh allocations.  `tests/candidate_determinism.rs` pins the
-/// byte-for-byte equivalence; the `candidate_stage` bench quantifies the speedup.
-pub mod reference {
-    use super::*;
-    use slugger_graph::hash::hash_node_with_seed;
-    use slugger_graph::NodeId;
-
-    /// Reference [`super::shingles`]: hash *every* subnode up front, then fold.
-    pub fn shingles(
-        summary: &HierarchicalSummary,
-        graph: &Graph,
-        roots: &[SupernodeId],
-        seed: u64,
-    ) -> Vec<u64> {
-        let n = graph.num_nodes();
-        let mut node_hash: Vec<u64> = vec![0; n];
-        for u in 0..n as NodeId {
-            node_hash[u as usize] = hash_node_with_seed(u, seed);
-        }
-        roots
-            .iter()
-            .map(|&root| {
-                let mut best = u64::MAX;
-                for &u in summary.members(root) {
-                    best = best.min(node_hash[u as usize]);
-                    for &w in graph.neighbors(u) {
-                        best = best.min(node_hash[w as usize]);
-                    }
-                }
-                best
-            })
-            .collect()
-    }
-
-    /// Reference [`super::candidate_sets`]: same control flow, naive data handling.
-    pub fn candidate_sets(
-        summary: &HierarchicalSummary,
-        graph: &Graph,
-        roots: &[SupernodeId],
-        seed: u64,
-        config: &CandidateConfig,
-    ) -> Vec<Vec<SupernodeId>> {
-        let mut result = Vec::new();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe_f00d_d00d);
-        let mut queue: Vec<(Vec<SupernodeId>, usize)> = Vec::new();
-        if roots.len() >= 2 {
-            queue.push((roots.to_vec(), 0));
-        }
-        while let Some((group, round)) = queue.pop() {
-            if round >= config.max_shingle_splits {
-                random_split(group, config.max_group_size, &mut rng, &mut result);
-                continue;
-            }
-            let round_seed = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(round as u64 + 1);
-            let sh = shingles(summary, graph, &group, round_seed);
-            let mut keyed: Vec<(u64, SupernodeId)> =
-                sh.into_iter().zip(group.iter().copied()).collect();
-            keyed.sort_unstable();
-            if keyed.first().map(|&(s, _)| s) == keyed.last().map(|&(s, _)| s) && round > 0 {
-                random_split(group, config.max_group_size, &mut rng, &mut result);
-                continue;
-            }
-            let mut start = 0;
-            while start < keyed.len() {
-                let shingle = keyed[start].0;
-                let mut end = start + 1;
-                while end < keyed.len() && keyed[end].0 == shingle {
-                    end += 1;
-                }
-                let len = end - start;
-                if len >= 2 {
-                    let bucket: Vec<SupernodeId> =
-                        keyed[start..end].iter().map(|&(_, r)| r).collect();
-                    if len <= config.max_group_size {
-                        result.push(bucket);
-                    } else {
-                        queue.push((bucket, round + 1));
-                    }
-                }
-                start = end;
-            }
-        }
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testsupport::{reference_candidate_sets, reference_shingles};
     use slugger_graph::gen::{caveman, CavemanConfig};
+    use slugger_graph::Graph;
 
     fn identity_and_roots(graph: &Graph) -> (HierarchicalSummary, Vec<SupernodeId>) {
         let summary = HierarchicalSummary::identity(graph.num_nodes());
@@ -429,7 +337,7 @@ mod tests {
         for seed in [0u64, 1, 42, u64::MAX] {
             assert_eq!(
                 shingles(&s, &g, &roots, seed),
-                reference::shingles(&s, &g, &roots, seed),
+                reference_shingles(&s, &g, &roots, seed),
                 "seed {seed}"
             );
         }
@@ -598,7 +506,7 @@ mod tests {
             for seed in [0u64, 3, 99] {
                 assert_eq!(
                     candidate_sets(&s, &g, &roots, seed, &config),
-                    reference::candidate_sets(&s, &g, &roots, seed, &config),
+                    reference_candidate_sets(&s, &g, &roots, seed, &config),
                     "cap {cap} splits {splits} seed {seed}"
                 );
             }

@@ -24,26 +24,25 @@
 //!    partitioning ([`crate::engine::apply::plan_footprint`]).  Affected roots are
 //!    always dirty; the cap only bounds how much *context* is re-opened around
 //!    them.
-//! 3. **Re-expand**: with [`IncrementalConfig::partial_dissolution`] (the
-//!    default), each affected root is dissolved **subtree-granularly**
+//! 3. **Re-expand**: each affected root is dissolved **subtree-granularly**
 //!    ([`MergeEngine::dissolve_partial`]): only the ancestor spine of its touched
 //!    leaves is killed, the maximal intact sibling subtrees survive as split-out
 //!    roots with the tree's edges re-attached exactly, and context roots stay
 //!    whole — so dissolution cost tracks `|delta|`, not the region.  The touched
 //!    leaves then get back exact leaf-level p-edges for every current-graph edge
-//!    incident to them (their coverage is exactly zero after the split).  With
-//!    the knob off, every dirty root is dissolved whole
-//!    ([`MergeEngine::dissolve_root`]) and the entire region re-expands, as in
-//!    earlier revisions.  Either way the summary is again a lossless encoding of
-//!    the *post-delta* graph after this step, with everything outside the dirty
-//!    region untouched — see ARCHITECTURE.md's subtree-detach lifecycle section
-//!    for why exactly the spine's encodings (and nothing else) are invalidated.
+//!    incident to them (their coverage is exactly zero after the split).  The
+//!    summary is again a lossless encoding of the *post-delta* graph after this
+//!    step, with everything outside the dirty region untouched — see
+//!    ARCHITECTURE.md's subtree-detach lifecycle section for why exactly the
+//!    spine's encodings (and nothing else) are invalidated.
 //! 4. **Re-summarize**: [`IncrementalConfig::iterations`] passes of the standard
 //!    candidates → shard → merge → apply pipeline run with the candidate-root list
 //!    **restricted to the region's roots** (the dissolved leaves, then their merge
-//!    products).  Planner state ([`PlannerPool`]) and apply workers
-//!    ([`ApplyWorkers`]) persist across batches, so encoder memos and overlay
-//!    pools warm up once per stream, not once per batch.
+//!    products).  Each pass's candidate stage goes through the persistent
+//!    [`CandidateIndex`], which re-hashes only the roots retired since their
+//!    signatures were cached.  Planner state ([`PlannerPool`]) and apply workers
+//!    ([`ApplyWorkers`]) persist across batches too, so encoder memos and
+//!    overlay pools warm up once per stream, not once per batch.
 //!
 //! Steps 3–4 only ever *preserve* the represented graph, so after **any** sequence
 //! of deltas the maintained summary decodes to exactly the current graph — the
@@ -61,8 +60,8 @@
 //! decision stream is ever reused across batches; shingle seeds are deliberately
 //! **batch-stable** ([`pass_shingle_seed`]) — pass `t` of every batch hashes with
 //! the same seed, which is what lets the persistent candidate index
-//! ([`IncrementalConfig::candidate_index`]) reuse clean roots' signatures across
-//! batches instead of re-shingling the unchanged world.
+//! ([`IncrementalSummarizer::candidate_index`]) reuse clean roots' signatures
+//! across batches instead of re-shingling the unchanged world.
 //!
 //! # Pruning and compaction
 //!
@@ -101,7 +100,7 @@
 //! ```
 
 use crate::candidates::{
-    candidate_sets_indexed, candidate_sets_with, CandidateConfig, CandidateIndex, CandidateScratch,
+    candidate_sets_indexed, CandidateConfig, CandidateIndex, CandidateScratch,
 };
 use crate::engine::apply::{apply_plans_with, ApplyWorkers};
 use crate::engine::{MergeCtx, MergeEngine};
@@ -128,22 +127,11 @@ pub struct IncrementalConfig {
     pub max_shingle_splits: usize,
     /// Optional upper bound on hierarchy-tree height, as in [`crate::SluggerConfig`].
     pub height_bound: Option<usize>,
-    /// Whether the local re-encoding memo is enabled.
-    pub memoization: bool,
     /// A summary-adjacent root joins the dirty set only while its supernode holds
     /// at most this many subnodes (affected roots always join).  `0` disables the
     /// adjacency expansion entirely; large values re-open more context around each
     /// delta at proportionally higher per-batch cost.
     pub adjacent_cap: usize,
-    /// When `true` (the default), affected roots are dissolved
-    /// **subtree-granularly** ([`MergeEngine::dissolve_partial`]): only the
-    /// ancestor spines of the touched leaves are killed, intact sibling subtrees
-    /// survive as split-out roots, and context (summary-adjacent) roots stay
-    /// intact while still joining the region as merge candidates — per-batch
-    /// dissolution cost tracks `|delta|`, not the region.  `false` restores the
-    /// whole-tree dissolution of every dirty root.  Both paths keep the summary
-    /// lossless after every batch (pinned by `tests/partial_dissolution.rs`).
-    pub partial_dissolution: bool,
     /// Pruning rounds run over the dirty region (and its summary-adjacent
     /// frontier) after each batch's pipeline passes, hosted by the engine so the
     /// maintained summary stays pruned with exact metadata.  `0` keeps the
@@ -154,14 +142,6 @@ pub struct IncrementalConfig {
     /// bounding resident memory at `live / (1 - ratio)`).  `0.0` disables
     /// compaction; the arena then grows with the stream.
     pub compact_dead_ratio: f64,
-    /// Keep a persistent batch-to-batch [`CandidateIndex`] (the default): each
-    /// pipeline pass re-hashes only the roots retired since their signatures
-    /// were cached and splices the cached majority back in pre-sorted, so the
-    /// candidate stage's cost tracks the **dirty** root count instead of the
-    /// whole region.  Output is byte-identical with the index on or off (pinned
-    /// by `tests/candidate_index.rs`); `false` keeps the index-free path
-    /// reachable as the pinned reference in benches.
-    pub candidate_index: bool,
     /// Periodic self-check: every N batches, run [`MergeEngine::validate`]
     /// (bookkeeping vs a from-scratch rebuild) plus
     /// [`HierarchicalSummary::validate`] and **panic** on any inconsistency —
@@ -185,12 +165,9 @@ impl Default for IncrementalConfig {
             max_candidate_size: 500,
             max_shingle_splits: 10,
             height_bound: None,
-            memoization: true,
             adjacent_cap: 32,
-            partial_dissolution: true,
             prune_rounds: 2,
             compact_dead_ratio: 0.5,
-            candidate_index: true,
             validate_every: 0,
             seed: 0,
             shards: DEFAULT_SHARDS,
@@ -212,24 +189,22 @@ pub struct BatchReport {
     pub dirty_roots: usize,
     /// Internal supernodes killed by the dissolution.
     pub dissolved_supernodes: usize,
-    /// Subnodes re-expanded into singleton roots.  With
-    /// [`IncrementalConfig::partial_dissolution`] this is only the touched
-    /// leaves (plus whole-tree fallbacks); without it, the entire region.
+    /// Subnodes re-expanded into singleton roots: the touched leaves, plus
+    /// every member of a tree that fell back to whole-tree dissolution.
     pub dissolved_subnodes: usize,
     /// Subnodes held by the dirty roots before dissolution — the denominator of
     /// the `dissolved_subnodes / region_subnodes` ratio the streaming bench
-    /// reports (1.0 under whole-tree dissolution; the smaller, the more of the
-    /// region partial dissolution kept intact).
+    /// reports (the smaller, the more of the region partial dissolution kept
+    /// intact).
     pub region_subnodes: usize,
     /// Exact leaf-level p-edges restored for the region.
     pub restored_edges: usize,
     /// Roots whose shingle signatures the candidate stage had to (re-)hash this
-    /// batch, summed over the pipeline passes — with the candidate index on,
-    /// these are the roots retired since their signatures were cached; with it
-    /// off, every root of every pass.
+    /// batch, summed over the pipeline passes: the roots retired since their
+    /// signatures were cached in the candidate index.
     pub reshingled_roots: usize,
     /// Roots whose cached shingle signatures the candidate index served without
-    /// re-hashing, summed over the pipeline passes (0 with the index off).
+    /// re-hashing, summed over the pipeline passes.
     pub cached_roots: usize,
     /// Candidate pairs evaluated by the per-batch pipeline passes.
     pub pairs_evaluated: usize,
@@ -316,7 +291,7 @@ pub struct IncrementalSummarizer {
     apply_workers: ApplyWorkers,
     ctx: MergeCtx,
     candidate_scratch: CandidateScratch,
-    /// Persistent batch-to-batch shingle cache ([`IncrementalConfig::candidate_index`]).
+    /// Persistent batch-to-batch shingle cache (see the module docs, step 4).
     /// Never persisted: recovery rebuilds it cold (an empty cache just recomputes,
     /// so recovery identity is untouched).
     index: CandidateIndex,
@@ -350,30 +325,11 @@ impl IncrementalSummarizer {
                 graph.num_nodes()
             ));
         }
-        let num_subnodes = summary.num_subnodes();
-        let mut engine = MergeEngine::from_summary(summary);
-        if config.candidate_index {
-            engine.enable_index_log();
-        }
-        Ok(IncrementalSummarizer {
-            ctx: if config.memoization {
-                MergeCtx::new()
-            } else {
-                MergeCtx::disabled()
-            },
+        Ok(Self::with_engine(
+            MergeEngine::from_summary(summary),
+            graph,
             config,
-            engine,
-            graph: DynamicGraph::from_graph(graph),
-            epoch: 0,
-            batches: 0,
-            planner_pool: PlannerPool::new(),
-            apply_workers: ApplyWorkers::new(),
-            candidate_scratch: CandidateScratch::default(),
-            index: CandidateIndex::new(),
-            dirty_mark: vec![false; num_subnodes],
-            restore_buf: Vec::new(),
-            snapshots: None,
-        })
+        ))
     }
 
     /// Resumes a stream from persisted state: like
@@ -403,16 +359,15 @@ impl IncrementalSummarizer {
     /// batches touch the graph; use [`IncrementalSummarizer::bootstrap`] to start
     /// from a full SLUGGER run instead.
     pub fn from_graph(graph: &Graph, config: IncrementalConfig) -> Self {
-        let mut engine = MergeEngine::new(graph);
-        if config.candidate_index {
-            engine.enable_index_log();
-        }
+        Self::with_engine(MergeEngine::new(graph), graph, config)
+    }
+
+    /// The shared constructor: wraps a lossless `engine` over `graph` with cold
+    /// per-stream state (empty candidate index, fresh planner pools, epoch 0).
+    fn with_engine(mut engine: MergeEngine, graph: &Graph, config: IncrementalConfig) -> Self {
+        engine.enable_index_log();
         IncrementalSummarizer {
-            ctx: if config.memoization {
-                MergeCtx::new()
-            } else {
-                MergeCtx::disabled()
-            },
+            ctx: MergeCtx::new(),
             config,
             engine,
             graph: DynamicGraph::from_graph(graph),
@@ -576,57 +531,46 @@ impl IncrementalSummarizer {
             report.region_subnodes += self.engine.summary().members(r).len();
         }
 
-        // Step 3: re-expand.  Subtree-granular by default: each affected root
-        // dissolves only the ancestor spine of its touched leaves
+        // Step 3: re-expand, subtree-granularly.  Each affected root dissolves
+        // only the ancestor spine of its touched leaves
         // ([`MergeEngine::dissolve_partial`]), intact sibling subtrees survive as
         // split-out roots, and context roots stay whole — all of them join the
         // region as merge candidates.  Then restore exact leaf-level p-edges for
         // the current graph's edges incident to the re-expanded leaves (their
-        // coverage is exactly zero after dissolution, partial or not).
+        // coverage is exactly zero after dissolution).
         let dissolve_start = std::time::Instant::now();
         let mut leaves: Vec<NodeId> = Vec::new();
         let mut region_roots: Vec<SupernodeId> = Vec::new();
-        if self.config.partial_dissolution {
-            // Touched leaves grouped by affected root, both in ascending order.
-            let mut by_root: Vec<(SupernodeId, NodeId)> = touched
-                .iter()
-                .map(|&u| (self.engine.root_of(u), u))
-                .collect();
-            by_root.sort_unstable();
-            by_root.dedup();
-            let mut i = 0;
-            while i < by_root.len() {
-                let r = by_root[i].0;
-                let mut j = i;
-                while j < by_root.len() && by_root[j].0 == r {
-                    j += 1;
-                }
-                let touched_leaves: Vec<SupernodeId> =
-                    by_root[i..j].iter().map(|&(_, u)| u).collect();
-                let part = self.engine.dissolve_partial(r, &touched_leaves);
-                report.dissolved_supernodes += part.killed;
-                leaves.extend(part.restore_leaves.iter().copied());
-                region_roots.extend(part.new_roots);
-                i = j;
+        // Touched leaves grouped by affected root, both in ascending order.
+        let mut by_root: Vec<(SupernodeId, NodeId)> = touched
+            .iter()
+            .map(|&u| (self.engine.root_of(u), u))
+            .collect();
+        by_root.sort_unstable();
+        by_root.dedup();
+        let mut i = 0;
+        while i < by_root.len() {
+            let r = by_root[i].0;
+            let mut j = i;
+            while j < by_root.len() && by_root[j].0 == r {
+                j += 1;
             }
-            // Intact context roots join the region as merge candidates.
-            region_roots.extend(
-                dirty
-                    .iter()
-                    .copied()
-                    .filter(|r| affected.binary_search(r).is_err()),
-            );
-            region_roots.sort_unstable();
-            region_roots.dedup();
-        } else {
-            for &r in &dirty {
-                leaves.extend_from_slice(self.engine.summary().members(r));
-                let (_, killed) = self.engine.dissolve_root(r);
-                report.dissolved_supernodes += killed;
-            }
-            region_roots = leaves.iter().map(|&u| u as SupernodeId).collect();
-            region_roots.sort_unstable();
+            let touched_leaves: Vec<SupernodeId> = by_root[i..j].iter().map(|&(_, u)| u).collect();
+            let part = self.engine.dissolve_partial(r, &touched_leaves);
+            report.dissolved_supernodes += part.killed;
+            leaves.extend(part.restore_leaves.iter().copied());
+            region_roots.extend(part.new_roots);
+            i = j;
         }
+        // Intact context roots join the region as merge candidates.
+        region_roots.extend(
+            dirty
+                .iter()
+                .copied()
+                .filter(|r| affected.binary_search(r).is_err()),
+        );
+        region_roots.sort_unstable();
+        region_roots.dedup();
         leaves.sort_unstable();
         report.dissolved_subnodes = leaves.len();
         for &u in &leaves {
@@ -663,40 +607,25 @@ impl IncrementalSummarizer {
             self.epoch += 1;
             let threshold = merging_threshold(t, self.config.iterations);
             // Batch-stable shingle seed (see [`pass_shingle_seed`]): the same for
-            // pass `t` of every batch, so cached signatures stay comparable —
-            // and identical whether the index is on or off.
+            // pass `t` of every batch, so cached signatures stay comparable.
             let pass_seed = pass_shingle_seed(self.config.seed, t);
             let candidates_start = std::time::Instant::now();
-            let sets = if self.config.candidate_index {
-                // Apply every structural event since the last pass to the index,
-                // then hash only what those events invalidated.
-                self.engine.flush_retired(&mut self.index);
-                let sets = candidate_sets_indexed(
-                    self.engine.summary(),
-                    &self.graph,
-                    &active,
-                    pass_seed,
-                    &candidate_config,
-                    threads,
-                    &mut self.candidate_scratch,
-                    &mut self.index,
-                );
-                let (reshingled, cached) = self.index.take_batch_stats();
-                report.reshingled_roots += reshingled;
-                report.cached_roots += cached;
-                sets
-            } else {
-                report.reshingled_roots += active.len();
-                candidate_sets_with(
-                    self.engine.summary(),
-                    &self.graph,
-                    &active,
-                    pass_seed,
-                    &candidate_config,
-                    threads,
-                    &mut self.candidate_scratch,
-                )
-            };
+            // Apply every structural event since the last pass to the index,
+            // then hash only what those events invalidated.
+            self.engine.flush_retired(&mut self.index);
+            let sets = candidate_sets_indexed(
+                self.engine.summary(),
+                &self.graph,
+                &active,
+                pass_seed,
+                &candidate_config,
+                threads,
+                &mut self.candidate_scratch,
+                &mut self.index,
+            );
+            let (reshingled, cached) = self.index.take_batch_stats();
+            report.reshingled_roots += reshingled;
+            report.cached_roots += cached;
             report.stages.candidates += candidates_start.elapsed();
             let worker = SluggerShardWorker {
                 view: &self.engine,
@@ -704,7 +633,7 @@ impl IncrementalSummarizer {
                     threshold,
                     height_bound: self.config.height_bound,
                 },
-                memoization: self.config.memoization,
+                memoization: true,
             };
             let seed = self.config.seed;
             let epoch = self.epoch;
@@ -909,16 +838,21 @@ impl IncrementalSummarizer {
         &self.index
     }
 
-    /// Invalidation-soundness oracle hook (`tests/candidate_index.rs`): computes
-    /// the candidate sets a pass-`t` run over **all** current roots would see
-    /// through the persistent index — pending invalidations flushed first, the
-    /// live index warmed exactly as a real pass would warm it.  The result must
-    /// be byte-identical to [`crate::candidates::reference::candidate_sets`] on
-    /// the same view with [`pass_shingle_seed`]`(seed, t)`; warming the index
-    /// here never changes any subsequent batch's output (only its speed).
-    pub fn probe_candidate_sets(&mut self, t: usize) -> Vec<Vec<SupernodeId>> {
+    /// Invalidation-soundness oracle hook: computes the candidate sets a
+    /// pass-`t` run over `roots` would see through the persistent index —
+    /// pending invalidations flushed first, the live index warmed exactly as a
+    /// real pass would warm it.  `roots` may be all current roots or a strict
+    /// subset (the shape a region pass sees).  The result must be
+    /// byte-identical to [`crate::testsupport::reference_candidate_sets`] on the
+    /// same view with [`pass_shingle_seed`]`(seed, t)` — see
+    /// [`crate::testsupport::assert_oracle`].  Warming the index here never
+    /// changes any subsequent batch's output (only its speed).
+    pub fn probe_candidate_sets(
+        &mut self,
+        t: usize,
+        roots: &[SupernodeId],
+    ) -> Vec<Vec<SupernodeId>> {
         self.engine.flush_retired(&mut self.index);
-        let roots: Vec<SupernodeId> = self.engine.summary().roots().collect();
         let candidate_config = CandidateConfig {
             max_group_size: self.config.max_candidate_size,
             max_shingle_splits: self.config.max_shingle_splits,
@@ -926,7 +860,7 @@ impl IncrementalSummarizer {
         candidate_sets_indexed(
             self.engine.summary(),
             &self.graph,
-            &roots,
+            roots,
             pass_shingle_seed(self.config.seed, t),
             &candidate_config,
             self.config.parallelism.threads(),

@@ -42,9 +42,9 @@
 //! what a from-scratch [`prune_all`] on a snapshot would cost.
 //!
 //! The region substep 3 keeps its pair bookkeeping on dense arena-indexed scratch
-//! arrays by default ([`PairIndex::Flat`]); the original hash-map bookkeeping
-//! survives as [`PairIndex::Hash`] behind [`prune_region_with`], pinned
-//! byte-identical so the two can never drift.
+//! arrays, so hub-adjacent regions (many partners per root) do not pay hash-map
+//! costs over the global sweep's flat tables.  The original hash-map bookkeeping
+//! survives only in this module's tests, as the byte-identity reference.
 //!
 //! All substeps are **content-deterministic**: supernodes are visited in sorted-id
 //! order and each root pair's re-encoding depends only on that pair's edges, so the
@@ -53,7 +53,7 @@
 //! across `parallelism × shards` settings even with pruning enabled.
 
 use crate::model::{EdgeSign, HierarchicalSummary, SupernodeId};
-use slugger_graph::hash::{FxHashMap, FxHashSet};
+use slugger_graph::hash::FxHashMap;
 use slugger_graph::{AdjacencyList, NodeId};
 
 /// Summary of what a pruning pass changed.
@@ -298,26 +298,6 @@ pub fn prune_step3<H: PruneHost, G: AdjacencyList>(
     reencoded
 }
 
-/// Pair-bookkeeping strategy of the region-restricted substep 3 — see
-/// [`prune_region_with`].
-///
-/// Both strategies are **observably identical** (same pairs, same visit order,
-/// same re-encodings, byte-identical summaries — unit-pinned); they differ only
-/// in constant factors.  [`PairIndex::Flat`] replaces every hash lookup of the
-/// region path with dense arena-indexed scratch arrays, which is what keeps
-/// hub-adjacent regions (many partners per root) from paying ~2x over the global
-/// sweep's flat tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairIndex {
-    /// Dense arena-indexed slot tables + pooled buckets (the default): a lazy
-    /// leaf/supernode → root memo, a partner → slot array reset via a touched
-    /// list, and per-slot edge buckets and subedge counters reused across roots.
-    Flat,
-    /// The original hash-map bookkeeping (`FxHashMap`/`FxHashSet` per root),
-    /// kept as the reference implementation the pin test compares against.
-    Hash,
-}
-
 /// Root of `x` through a lazy arena-indexed memo (`SupernodeId::MAX` = not yet
 /// computed), stamping the whole parent chain on first touch.  Valid only while
 /// tree structure is unchanged — substep 3 rewrites edges, never structure.
@@ -350,11 +330,14 @@ fn memo_root_of(
     }
 }
 
-/// The [`PairIndex::Flat`] implementation of the region-restricted substep 3:
-/// pair-for-pair identical to [`prune_step3_region`] (same ascending root visit,
-/// same per-root bucket collection order, same full-total subedge counts, same
-/// smaller-root-first dedup of in-region pairs), with all bookkeeping on dense
-/// arena-indexed scratch instead of hash maps.
+/// Substep 3 restricted to pairs with at least one root in `region`: each region
+/// root is paired with every root its tree shares a p/n-edge with (its
+/// summary-adjacent partners, and itself for intra-tree edges).  Roots are
+/// visited in ascending order, and an in-region pair is handled at its smaller
+/// root's turn.  All bookkeeping lives on dense arena-indexed scratch: a lazy
+/// leaf/supernode → root memo, a partner → slot array reset via a touched list,
+/// and per-slot edge buckets and subedge counters reused across roots.  Pinned
+/// pair-for-pair identical to the hash-map reference in this module's tests.
 ///
 /// The subedge totals are counted lazily at each root's turn rather than in one
 /// up-front sweep; the graph never changes during the substep, so the totals are
@@ -388,8 +371,7 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
         }
         partners_touched.clear();
         let summary = host.summary();
-        // One scan over the tree's incident edges, bucketed by partner root —
-        // the exact collection order of the hash path.
+        // One scan over the tree's incident edges, bucketed by partner root.
         for x in summary.tree_supernodes(a) {
             incident.clear();
             incident.extend(summary.incident(x));
@@ -453,90 +435,6 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
                 None,
                 max_pair_product,
             ) {
-                reencoded += 1;
-            }
-        }
-    }
-    reencoded
-}
-
-/// Substep 3 restricted to pairs with at least one root in `region`: each region
-/// root is paired with every root its tree shares a p/n-edge with (its
-/// summary-adjacent partners, and itself for intra-tree edges).
-fn prune_step3_region<H: PruneHost, G: AdjacencyList>(
-    host: &mut H,
-    graph: &G,
-    region: &[SupernodeId],
-    max_pair_product: usize,
-) -> usize {
-    // Subedge counts for every pair a region root participates in, from ONE sweep
-    // over the region's leaf adjacency (graph side — immutable during this
-    // substep; substep 3 rewrites edges, never tree structure).  Counting
-    // per pair on demand would re-scan a root's member adjacency once per
-    // partner, which blows up on hub-adjacent regions.
-    let region_set: FxHashSet<SupernodeId> = region.iter().copied().collect();
-    let mut subedge_count: FxHashMap<(SupernodeId, SupernodeId), usize> = FxHashMap::default();
-    {
-        let summary = host.summary();
-        for &a in region {
-            if !summary.is_root(a) {
-                continue;
-            }
-            for &u in summary.members(a) {
-                for &w in graph.neighbors(u) {
-                    let partner = summary.root_of(w as SupernodeId);
-                    // Each subedge must count once: intra-pair when `u < w`,
-                    // both-in-region pairs at the smaller root's sweep, and
-                    // region-frontier pairs at the (only) region sweep.
-                    let counted = if partner == a {
-                        u < w
-                    } else if region_set.contains(&partner) {
-                        a < partner
-                    } else {
-                        true
-                    };
-                    if counted {
-                        *subedge_count.entry(pair_key(a, partner)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-    }
-    let mut reencoded = 0usize;
-    let mut seen: FxHashSet<(SupernodeId, SupernodeId)> = FxHashSet::default();
-    let mut incident: Vec<SupernodeId> = Vec::new();
-    for &a in region {
-        if !host.summary().is_root(a) {
-            continue; // removed by an earlier substep of this pass
-        }
-        // One scan over the tree's incident edges, bucketed by partner root.
-        let summary = host.summary();
-        let mut by_partner: FxHashMap<SupernodeId, Vec<(SupernodeId, SupernodeId)>> =
-            FxHashMap::default();
-        for x in summary.tree_supernodes(a) {
-            incident.clear();
-            incident.extend(summary.incident(x));
-            incident.sort_unstable();
-            for &y in &incident {
-                let partner = summary.root_of(y);
-                // Intra-tree edges are seen from both endpoints; record them once
-                // (self-loops appear once in the incidence set already).
-                if partner == a && y < x {
-                    continue;
-                }
-                by_partner.entry(partner).or_default().push((x, y));
-            }
-        }
-        let mut partners: Vec<SupernodeId> = by_partner.keys().copied().collect();
-        partners.sort_unstable();
-        for b in partners {
-            let key = pair_key(a, b);
-            if !seen.insert(key) {
-                continue;
-            }
-            let edges = &by_partner[&b];
-            let existing = subedge_count.get(&key).copied().unwrap_or(0);
-            if flatten_pair_if_cheaper(host, graph, a, b, edges, existing, None, max_pair_product) {
                 reencoded += 1;
             }
         }
@@ -725,27 +623,18 @@ pub fn prune_region<H: PruneHost, G: AdjacencyList>(
     rounds: usize,
     max_pair_product: usize,
 ) -> PruneReport {
-    prune_region_with(
-        host,
-        graph,
-        region,
-        rounds,
-        max_pair_product,
-        PairIndex::Flat,
-    )
+    prune_region_rounds(host, region, rounds, |host, region| {
+        prune_step3_region_flat(host, graph, region, max_pair_product)
+    })
 }
 
-/// [`prune_region`] with an explicit substep-3 pair-bookkeeping strategy.  The
-/// two strategies produce byte-identical summaries (unit-pinned); [`PairIndex`]
-/// only selects the bookkeeping's constant factors, which the `streaming` bench
-/// compares per batch.
-pub fn prune_region_with<H: PruneHost, G: AdjacencyList>(
+/// The round loop of [`prune_region`], with substep 3 passed in so this
+/// module's tests can drive the hash-map reference through the same rounds.
+fn prune_region_rounds<H: PruneHost>(
     host: &mut H,
-    graph: &G,
     region: &[SupernodeId],
     rounds: usize,
-    max_pair_product: usize,
-    pair_index: PairIndex,
+    mut step3: impl FnMut(&mut H, &[SupernodeId]) -> usize,
 ) -> PruneReport {
     let mut region: Vec<SupernodeId> = region
         .iter()
@@ -769,10 +658,7 @@ pub fn prune_region_with<H: PruneHost, G: AdjacencyList>(
         let pass = PruneReport {
             step1_removed,
             step2_removed,
-            step3_reencoded: match pair_index {
-                PairIndex::Flat => prune_step3_region_flat(host, graph, &region, max_pair_product),
-                PairIndex::Hash => prune_step3_region(host, graph, &region, max_pair_product),
-            },
+            step3_reencoded: step3(host, &region),
         };
         let changed = pass.total_changes() > 0;
         report.absorb(pass);
@@ -792,7 +678,98 @@ mod tests {
     use crate::decode::verify_lossless;
     use crate::engine::MergeCtx;
     use crate::engine::MergeEngine;
+    use slugger_graph::hash::FxHashSet;
     use slugger_graph::Graph;
+
+    /// The original hash-map bookkeeping of the region-restricted substep 3, kept
+    /// as the reference [`prune_step3_region_flat`] must match pair for pair.
+    fn prune_step3_region<H: PruneHost, G: AdjacencyList>(
+        host: &mut H,
+        graph: &G,
+        region: &[SupernodeId],
+        max_pair_product: usize,
+    ) -> usize {
+        // Subedge counts for every pair a region root participates in, from ONE
+        // sweep over the region's leaf adjacency (graph side — immutable during
+        // this substep; substep 3 rewrites edges, never tree structure).
+        let region_set: FxHashSet<SupernodeId> = region.iter().copied().collect();
+        let mut subedge_count: FxHashMap<(SupernodeId, SupernodeId), usize> = FxHashMap::default();
+        {
+            let summary = host.summary();
+            for &a in region {
+                if !summary.is_root(a) {
+                    continue;
+                }
+                for &u in summary.members(a) {
+                    for &w in graph.neighbors(u) {
+                        let partner = summary.root_of(w as SupernodeId);
+                        // Each subedge must count once: intra-pair when `u < w`,
+                        // both-in-region pairs at the smaller root's sweep, and
+                        // region-frontier pairs at the (only) region sweep.
+                        let counted = if partner == a {
+                            u < w
+                        } else if region_set.contains(&partner) {
+                            a < partner
+                        } else {
+                            true
+                        };
+                        if counted {
+                            *subedge_count.entry(pair_key(a, partner)).or_insert(0) += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let mut reencoded = 0usize;
+        let mut seen: FxHashSet<(SupernodeId, SupernodeId)> = FxHashSet::default();
+        let mut incident: Vec<SupernodeId> = Vec::new();
+        for &a in region {
+            if !host.summary().is_root(a) {
+                continue; // removed by an earlier substep of this pass
+            }
+            // One scan over the tree's incident edges, bucketed by partner root.
+            let summary = host.summary();
+            let mut by_partner: FxHashMap<SupernodeId, Vec<(SupernodeId, SupernodeId)>> =
+                FxHashMap::default();
+            for x in summary.tree_supernodes(a) {
+                incident.clear();
+                incident.extend(summary.incident(x));
+                incident.sort_unstable();
+                for &y in &incident {
+                    let partner = summary.root_of(y);
+                    // Intra-tree edges are seen from both endpoints; record them
+                    // once (self-loops appear once in the incidence set already).
+                    if partner == a && y < x {
+                        continue;
+                    }
+                    by_partner.entry(partner).or_default().push((x, y));
+                }
+            }
+            let mut partners: Vec<SupernodeId> = by_partner.keys().copied().collect();
+            partners.sort_unstable();
+            for b in partners {
+                let key = pair_key(a, b);
+                if !seen.insert(key) {
+                    continue;
+                }
+                let edges = &by_partner[&b];
+                let existing = subedge_count.get(&key).copied().unwrap_or(0);
+                if flatten_pair_if_cheaper(
+                    host,
+                    graph,
+                    a,
+                    b,
+                    edges,
+                    existing,
+                    None,
+                    max_pair_product,
+                ) {
+                    reencoded += 1;
+                }
+            }
+        }
+        reencoded
+    }
 
     #[test]
     fn step1_removes_edge_free_internal_nodes() {
@@ -1063,56 +1040,27 @@ mod tests {
         }
         let base = engine.summary().clone();
         let roots: Vec<SupernodeId> = base.roots().collect();
-        // Full-region prune: both strategies, byte-identical outcomes.
-        let mut flat = base.clone();
-        let mut hash = base.clone();
-        let report_flat = prune_region_with(
-            &mut flat,
-            &graph,
-            &roots,
-            3,
-            DEFAULT_MAX_PAIR_PRODUCT,
-            PairIndex::Flat,
-        );
-        let report_hash = prune_region_with(
-            &mut hash,
-            &graph,
-            &roots,
-            3,
-            DEFAULT_MAX_PAIR_PRODUCT,
-            PairIndex::Hash,
-        );
-        assert_eq!(report_flat, report_hash);
-        assert!(
-            report_flat.total_changes() > 0,
-            "fixture must exercise pruning"
-        );
-        assert_summaries_identical(&flat, &hash);
-        verify_lossless(&flat, &graph).unwrap();
-        // A strict sub-region exercises the in-region vs frontier split of the
-        // smaller-root-first dedup and the subedge counting rules.
+        // A full region, then a strict sub-region: the latter exercises the
+        // in-region vs frontier split of the smaller-root-first dedup and the
+        // subedge counting rules.
         let sub: Vec<SupernodeId> = roots.iter().copied().step_by(3).collect();
-        let mut flat = base.clone();
-        let mut hash = base;
-        let report_flat = prune_region_with(
-            &mut flat,
-            &graph,
-            &sub,
-            3,
-            DEFAULT_MAX_PAIR_PRODUCT,
-            PairIndex::Flat,
-        );
-        let report_hash = prune_region_with(
-            &mut hash,
-            &graph,
-            &sub,
-            3,
-            DEFAULT_MAX_PAIR_PRODUCT,
-            PairIndex::Hash,
-        );
-        assert_eq!(report_flat, report_hash);
-        assert_summaries_identical(&flat, &hash);
-        verify_lossless(&flat, &graph).unwrap();
+        for (region, full) in [(&roots, true), (&sub, false)] {
+            let mut flat = base.clone();
+            let mut hash = base.clone();
+            let report_flat = prune_region(&mut flat, &graph, region, 3, DEFAULT_MAX_PAIR_PRODUCT);
+            let report_hash = prune_region_rounds(&mut hash, region, 3, |host, region| {
+                prune_step3_region(host, &graph, region, DEFAULT_MAX_PAIR_PRODUCT)
+            });
+            assert_eq!(report_flat, report_hash);
+            if full {
+                assert!(
+                    report_flat.total_changes() > 0,
+                    "fixture must exercise pruning"
+                );
+            }
+            assert_summaries_identical(&flat, &hash);
+            verify_lossless(&flat, &graph).unwrap();
+        }
     }
 
     #[test]

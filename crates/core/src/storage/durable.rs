@@ -33,8 +33,13 @@
 //!    so post-recovery batches are never stranded behind torn bytes; duplicated
 //!    tail records (re-appended after a failed fsync) are skipped by batch
 //!    index; anything else inconsistent — a gap in batch indexes, records after
-//!    a torn tail — is a **typed error**, never a panic and never a silently
-//!    wrong summary.
+//!    a torn tail, a record naming a node outside the graph — is a **typed
+//!    error**, never a panic and never a silently wrong summary.
+//!
+//! Deltas are validated at the boundary: [`DurableSummarizer::ingest`] rejects
+//! a delta naming a node id outside the graph with
+//! [`DurableError::InvalidDelta`] *before* the WAL append, so a bad delta can
+//! neither panic the batch path nor poison every later recovery.
 //!
 //! Determinism of recovery is the load-bearing invariant: because the checkpoint
 //! pins `(summary, epoch, batches)` and replay goes through the ordinary
@@ -83,6 +88,7 @@ use crate::incremental::{BatchReport, IncrementalConfig, IncrementalSummarizer};
 use crate::model::HierarchicalSummary;
 use crate::storage::{read_summary, write_summary, StorageError};
 use slugger_graph::stream::GraphDelta;
+use slugger_graph::NodeId;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -162,6 +168,15 @@ pub enum DurableError {
     /// The persisted state and the caller's request disagree (seed mismatch,
     /// directory already initialized, …).
     State(String),
+    /// [`DurableSummarizer::ingest`] rejected a delta naming a node id outside
+    /// the stream's node range.  Nothing was logged or applied; the stream
+    /// stays usable.
+    InvalidDelta {
+        /// The first out-of-range node id of the delta.
+        node: NodeId,
+        /// The stream's node count (valid ids are `0..num_nodes`).
+        num_nodes: usize,
+    },
 }
 
 impl std::fmt::Display for DurableError {
@@ -174,6 +189,10 @@ impl std::fmt::Display for DurableError {
             }
             DurableError::NoCheckpoint => write!(f, "no valid checkpoint to recover from"),
             DurableError::State(what) => write!(f, "invalid durable state: {what}"),
+            DurableError::InvalidDelta { node, num_nodes } => write!(
+                f,
+                "delta names node {node}, but the graph has {num_nodes} nodes"
+            ),
         }
     }
 }
@@ -664,8 +683,8 @@ impl<IO: DurableIo> DurableSummarizer<IO> {
     /// silently break the determinism-of-recovery invariant.
     ///
     /// The persistent candidate index
-    /// ([`IncrementalConfig::candidate_index`](crate::incremental::IncrementalConfig::candidate_index))
-    /// is **not** persisted: recovery rebuilds it cold.  That is deliberately
+    /// ([`IncrementalSummarizer::candidate_index`]) is **not** persisted:
+    /// recovery rebuilds it cold.  That is deliberately
     /// safe for identity — an empty cache means every root re-hashes, and
     /// shingle seeds are batch-stable
     /// ([`crate::incremental::pass_shingle_seed`]), so the replayed batches
@@ -751,6 +770,12 @@ impl<IO: DurableIo> DurableSummarizer<IO> {
                     return Err(DurableError::Corrupt {
                         file: name,
                         what: "gap in wal batch indexes",
+                    });
+                }
+                if out_of_range_node(delta, inner.graph().num_nodes()).is_some() {
+                    return Err(DurableError::Corrupt {
+                        file: name,
+                        what: "wal record names a node outside the graph",
                     });
                 }
                 inner.resummarize(delta);
@@ -843,8 +868,15 @@ impl<IO: DurableIo> DurableSummarizer<IO> {
     /// WAL record, apply the batch, checkpoint if the policy says so.  On error
     /// the in-memory state may lag the caller's intent — drop the summarizer
     /// and [`DurableSummarizer::open`] to get back to a consistent state (the
-    /// recovery tests do exactly this at every possible failure point).
+    /// recovery tests do exactly this at every possible failure point).  The
+    /// one exception is [`DurableError::InvalidDelta`]: a delta naming a node
+    /// id outside the graph is rejected before anything is logged or applied,
+    /// and the stream stays usable.
     pub fn ingest(&mut self, delta: &GraphDelta) -> Result<BatchReport, DurableError> {
+        let num_nodes = self.inner.graph().num_nodes();
+        if let Some(node) = out_of_range_node(delta, num_nodes) {
+            return Err(DurableError::InvalidDelta { node, num_nodes });
+        }
         let record = encode_wal_record(self.inner.batches() as u64 + 1, delta);
         let wal_file = wal_name(self.wal_seq);
         self.io.append(&wal_file, &record)?;
@@ -963,6 +995,17 @@ impl<IO: DurableIo> DurableSummarizer<IO> {
     pub fn into_inner(self) -> IncrementalSummarizer {
         self.inner
     }
+}
+
+/// The first node id of `delta` outside `0..num_nodes`, if any: the boundary
+/// check of [`DurableSummarizer::ingest`] and of WAL replay.
+fn out_of_range_node(delta: &GraphDelta, num_nodes: usize) -> Option<NodeId> {
+    delta
+        .deletions
+        .iter()
+        .chain(&delta.insertions)
+        .flat_map(|&(u, v)| [u, v])
+        .find(|&x| x as usize >= num_nodes)
 }
 
 /// Sorted (ascending) checkpoint and WAL sequence numbers present in the
@@ -1445,6 +1488,74 @@ mod tests {
             canonical_form(plain.summary()),
             "recovered stream must match the uninterrupted run"
         );
+    }
+
+    #[test]
+    fn out_of_range_delta_is_rejected_before_the_wal() {
+        let (_, initial, batches) = small_stream();
+        let config = quick_config();
+        let policy = DurablePolicy {
+            checkpoint_every_batches: 0,
+            checkpoint_wal_bytes: 0,
+        };
+        let n = initial.num_nodes() as NodeId;
+        let mut control = IncrementalSummarizer::from_graph(&initial, config);
+        control.resummarize(&batches[0]);
+
+        let io = MemIo::new();
+        let inner = IncrementalSummarizer::from_graph(&initial, config);
+        let mut durable = DurableSummarizer::create(inner, policy, io.clone()).unwrap();
+        let wal_before = io.clone().read(&wal_name(0)).unwrap();
+        for bad in [
+            GraphDelta::from_insertions([(0, n)]),
+            GraphDelta {
+                deletions: vec![(n + 7, 1)],
+                insertions: vec![(0, 1)],
+            },
+        ] {
+            assert!(matches!(
+                durable.ingest(&bad),
+                Err(DurableError::InvalidDelta { num_nodes, .. }) if num_nodes == n as usize
+            ));
+        }
+        assert_eq!(
+            io.clone().read(&wal_name(0)).unwrap(),
+            wal_before,
+            "a rejected delta must leave the WAL untouched"
+        );
+        assert_eq!(durable.batches(), 0);
+        // The stream stays usable, and recovery replays only the good batch.
+        durable.ingest(&batches[0]).unwrap();
+        drop(durable);
+        let mut crashed = io.clone();
+        crashed.crash(0);
+        let (recovered, report) = DurableSummarizer::open(config, policy, crashed).unwrap();
+        assert_eq!(report.replayed_batches, 1);
+        assert_eq!(
+            canonical_form(recovered.summary()),
+            canonical_form(control.summary())
+        );
+    }
+
+    #[test]
+    fn wal_record_naming_an_out_of_range_node_is_corrupt() {
+        let (_, initial, _) = small_stream();
+        let config = quick_config();
+        let io = MemIo::new();
+        let inner = IncrementalSummarizer::from_graph(&initial, config);
+        let durable =
+            DurableSummarizer::create(inner, DurablePolicy::default(), io.clone()).unwrap();
+        drop(durable);
+        // A checksum-valid record that bypassed ingest's boundary check.
+        let bad = GraphDelta::from_insertions([(0, initial.num_nodes() as NodeId)]);
+        let mut io2 = io.clone();
+        io2.append(&wal_name(0), &encode_wal_record(1, &bad))
+            .unwrap();
+        io2.sync(&wal_name(0)).unwrap();
+        assert!(matches!(
+            DurableSummarizer::open(config, DurablePolicy::default(), io),
+            Err(DurableError::Corrupt { .. })
+        ));
     }
 
     #[test]

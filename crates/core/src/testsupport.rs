@@ -2,14 +2,23 @@
 //!
 //! The byte-identity pins (`apply_invariance`, `incremental_invariance`,
 //! `query_snapshot`, `scenario_matrix`, ...) all compare summaries through the
-//! same canonical form and sweep the same `parallelism × shards` lattice.
-//! This module is that machinery's single home; it ships in the library (not
+//! same canonical form and sweep the same `parallelism × shards` lattice, and
+//! the candidate-stage pins (`candidate_determinism`, `candidate_index`,
+//! `scenario_matrix`) all compare against the same naive candidate oracle
+//! ([`reference_candidate_sets`], checked against a live stream by
+//! [`assert_oracle`]).  This module is that machinery's single home; it ships in the library (not
 //! `#[cfg(test)]`) so integration tests *and* downstream crates' tests can use
 //! it, but it is documented as test support and carries no stability promise
 //! beyond what the tests themselves pin.
 
-use crate::model::HierarchicalSummary;
+use crate::candidates::{random_split, CandidateConfig};
+use crate::incremental::{pass_shingle_seed, IncrementalSummarizer};
+use crate::model::{HierarchicalSummary, SupernodeId};
 use crate::pipeline::Parallelism;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use slugger_graph::hash::hash_node_with_seed;
+use slugger_graph::{Graph, NodeId};
 
 /// One arena slot of the canonical form: `(parent, children, members, alive)`.
 pub type CanonicalSlot = (Option<u32>, Vec<u32>, Vec<u32>, bool);
@@ -91,6 +100,129 @@ pub fn lattice() -> Vec<LatticePoint> {
         }
     }
     points
+}
+
+/// Reference [`crate::candidates::shingles`]: the naive oracle of the
+/// optimized shingle fold.  Hashes *every* subnode up front (O(|V|) per call),
+/// then folds each root's closed neighborhood.
+pub fn reference_shingles(
+    summary: &HierarchicalSummary,
+    graph: &Graph,
+    roots: &[SupernodeId],
+    seed: u64,
+) -> Vec<u64> {
+    let n = graph.num_nodes();
+    let mut node_hash: Vec<u64> = vec![0; n];
+    for u in 0..n as NodeId {
+        node_hash[u as usize] = hash_node_with_seed(u, seed);
+    }
+    roots
+        .iter()
+        .map(|&root| {
+            let mut best = u64::MAX;
+            for &u in summary.members(root) {
+                best = best.min(node_hash[u as usize]);
+                for &w in graph.neighbors(u) {
+                    best = best.min(node_hash[w as usize]);
+                }
+            }
+            best
+        })
+        .collect()
+}
+
+/// Reference [`crate::candidates::candidate_sets`]: the naive oracle of the
+/// candidate stage.
+///
+/// Identical algorithm and identical output to
+/// [`crate::candidates::candidate_sets_with`] and
+/// [`crate::candidates::candidate_sets_indexed`] for every seed, but written
+/// the obvious way: every shingle pass goes through [`reference_shingles`] and
+/// runs on one thread with fresh allocations.  `tests/candidate_determinism.rs`
+/// pins the byte-for-byte equivalence; the `candidate_stage` bench quantifies
+/// the speedup.
+pub fn reference_candidate_sets(
+    summary: &HierarchicalSummary,
+    graph: &Graph,
+    roots: &[SupernodeId],
+    seed: u64,
+    config: &CandidateConfig,
+) -> Vec<Vec<SupernodeId>> {
+    let mut result = Vec::new();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe_f00d_d00d);
+    let mut queue: Vec<(Vec<SupernodeId>, usize)> = Vec::new();
+    if roots.len() >= 2 {
+        queue.push((roots.to_vec(), 0));
+    }
+    while let Some((group, round)) = queue.pop() {
+        if round >= config.max_shingle_splits {
+            random_split(group, config.max_group_size, &mut rng, &mut result);
+            continue;
+        }
+        let round_seed = seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(round as u64 + 1);
+        let sh = reference_shingles(summary, graph, &group, round_seed);
+        let mut keyed: Vec<(u64, SupernodeId)> =
+            sh.into_iter().zip(group.iter().copied()).collect();
+        keyed.sort_unstable();
+        if keyed.first().map(|&(s, _)| s) == keyed.last().map(|&(s, _)| s) && round > 0 {
+            random_split(group, config.max_group_size, &mut rng, &mut result);
+            continue;
+        }
+        let mut start = 0;
+        while start < keyed.len() {
+            let shingle = keyed[start].0;
+            let mut end = start + 1;
+            while end < keyed.len() && keyed[end].0 == shingle {
+                end += 1;
+            }
+            let len = end - start;
+            if len >= 2 {
+                let bucket: Vec<SupernodeId> = keyed[start..end].iter().map(|&(_, r)| r).collect();
+                if len <= config.max_group_size {
+                    result.push(bucket);
+                } else {
+                    queue.push((bucket, round + 1));
+                }
+            }
+            start = end;
+        }
+    }
+    result
+}
+
+/// Asserts that the candidate sets a stream computes through its warm
+/// persistent index equal [`reference_candidate_sets`] recomputed from scratch
+/// on the same view, for every per-batch pass seed — over all current roots and
+/// over a strict subset (every other root), the shape a region pass sees.  Any
+/// missed invalidation (a structural event that changes a root's shingle
+/// without retiring its cached signature) shows up here as a divergence.
+pub fn assert_oracle(inc: &mut IncrementalSummarizer, context: &str) {
+    let config = *inc.config();
+    let candidate_config = CandidateConfig {
+        max_group_size: config.max_candidate_size,
+        max_shingle_splits: config.max_shingle_splits,
+    };
+    let graph = inc.graph().to_graph();
+    let all: Vec<SupernodeId> = inc.summary().roots().collect();
+    let subset: Vec<SupernodeId> = all.iter().copied().step_by(2).collect();
+    for (roots, which) in [(&all, "all roots"), (&subset, "every other root")] {
+        for t in 1..=config.iterations {
+            let indexed = inc.probe_candidate_sets(t, roots);
+            let expected = reference_candidate_sets(
+                inc.summary(),
+                &graph,
+                roots,
+                pass_shingle_seed(config.seed, t),
+                &candidate_config,
+            );
+            assert_eq!(
+                indexed, expected,
+                "{context}: oracle diverged at pass {t} over {which}"
+            );
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //!
 //! * the optimized candidate stage (lazy per-node hashing, sort-based bucketing,
 //!   scratch reuse, parallel shingle fold) must produce **byte-identical** groups to
-//!   the naive [`slugger_core::candidates::reference`] implementation across seeds,
-//!   graph generators, configurations and thread counts;
+//!   the naive [`slugger_core::testsupport::reference_candidate_sets`] oracle
+//!   across seeds, graph generators, configurations and thread counts;
 //! * the per-worker [`MergeCtx`] scratch buffers must never leak state between
 //!   evaluations — evaluating a pair with a heavily reused context must equal
 //!   evaluating it with a fresh one (property-tested over random graphs and pairs).
@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use slugger_core::candidates::{self, CandidateConfig, CandidateScratch};
 use slugger_core::engine::{MergeCtx, MergeEngine};
 use slugger_core::model::HierarchicalSummary;
+use slugger_core::testsupport::{reference_candidate_sets, reference_shingles};
 use slugger_core::{Slugger, SluggerConfig};
 use slugger_graph::gen::{caveman, rmat, CavemanConfig, RmatConfig};
 use slugger_graph::Graph;
@@ -64,8 +65,7 @@ fn optimized_candidate_sets_match_reference_across_seeds_and_generators() {
             };
             let mut scratch = CandidateScratch::default();
             for seed in [0u64, 1, 2, 17, 42, 0xdead_beef] {
-                let expected =
-                    candidates::reference::candidate_sets(&summary, &graph, &roots, seed, &config);
+                let expected = reference_candidate_sets(&summary, &graph, &roots, seed, &config);
                 // Scratch deliberately reused across seeds and configs: reuse must
                 // be invisible.
                 let optimized = candidates::candidate_sets_with(
@@ -93,7 +93,7 @@ fn optimized_shingles_match_reference() {
         for seed in [0u64, 9, 1 << 40, u64::MAX] {
             assert_eq!(
                 candidates::shingles(&summary, &graph, &roots, seed),
-                candidates::reference::shingles(&summary, &graph, &roots, seed),
+                reference_shingles(&summary, &graph, &roots, seed),
                 "shingles diverged on {name} at seed {seed}"
             );
         }
@@ -150,7 +150,7 @@ fn parallel_shingle_fold_is_invisible_to_the_grouping() {
     );
     let config = CandidateConfig::default();
     let seed = 9;
-    let expected = candidates::reference::candidate_sets(&summary, &graph, &roots, seed, &config);
+    let expected = reference_candidate_sets(&summary, &graph, &roots, seed, &config);
     for threads in [1usize, 2, 4, 8] {
         let mut scratch = CandidateScratch::default();
         let grouped = candidates::candidate_sets_with(
@@ -204,7 +204,7 @@ fn candidate_sets_match_reference_on_a_coarse_summary() {
                 1,
                 &mut scratch
             ),
-            candidates::reference::candidate_sets(&summary, &graph, &roots, seed, &config),
+            reference_candidate_sets(&summary, &graph, &roots, seed, &config),
             "coarse-summary grouping diverged at seed {seed}"
         );
     }

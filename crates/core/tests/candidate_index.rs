@@ -1,60 +1,24 @@
-//! Invalidation-soundness and identity pins for the persistent candidate index
+//! Invalidation-soundness pins for the persistent candidate index
 //! (`candidates::index`):
 //!
 //! - **Oracle**: across randomized delta / prune / compact / recovery
 //!   interleavings, the candidate sets computed *through the warm index* must be
-//!   byte-identical to `candidates::reference` recomputing everything from
-//!   scratch on the same view — after every batch, for every pass seed.  Any
+//!   byte-identical to the naive reference oracle recomputing everything from
+//!   scratch on the same view — after every batch, for every pass seed, over
+//!   all roots and over a strict subset (`testsupport::assert_oracle`).  Any
 //!   missed invalidation (a structural event that changes a root's shingle
 //!   without retiring its cached signature) shows up here as a divergence.
-//! - **Identity**: a stream with the index on is byte-identical (canonical form,
-//!   after every batch) to the same stream with the index off, across
-//!   parallelism × shards — the index is a pure accelerator.
 //! - **Compaction**: a mid-stream `compact_now` renumbers the cached entries in
 //!   place rather than dropping them — the next batch still serves cache hits.
+//!
+//! Index-on lattice identity is pinned by `incremental_invariance.rs`.
 
-use slugger_core::candidates::{self, CandidateConfig};
-use slugger_core::incremental::{pass_shingle_seed, IncrementalConfig, IncrementalSummarizer};
-use slugger_core::model::HierarchicalSummary;
-use slugger_core::{Parallelism, Slugger, SluggerConfig};
+use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
+use slugger_core::testsupport::{assert_oracle, canonical};
+use slugger_core::{Slugger, SluggerConfig};
 use slugger_graph::gen::{caveman, CavemanConfig};
 use slugger_graph::stream::{stream_batches, StreamConfig};
 use slugger_graph::Graph;
-
-/// One arena slot of the canonical form: (parent, children, members, alive).
-type CanonicalSlot = (Option<u32>, Vec<u32>, Vec<u32>, bool);
-
-/// Every observable byte of the model, hash maps flattened into sorted vectors
-/// (the `apply_invariance.rs` / `incremental_invariance.rs` canonical form).
-#[derive(Debug, PartialEq, Eq)]
-struct CanonicalSummary {
-    num_subnodes: usize,
-    arena: Vec<CanonicalSlot>,
-    edges: Vec<((u32, u32), i32)>,
-}
-
-fn canonical(summary: &HierarchicalSummary) -> CanonicalSummary {
-    let arena = (0..summary.arena_len() as u32)
-        .map(|id| {
-            (
-                summary.parent(id),
-                summary.children(id).to_vec(),
-                summary.members(id).to_vec(),
-                summary.is_alive(id),
-            )
-        })
-        .collect();
-    let mut edges: Vec<((u32, u32), i32)> = summary
-        .pn_edges()
-        .map(|(key, sign)| (key, sign.weight()))
-        .collect();
-    edges.sort_unstable();
-    CanonicalSummary {
-        num_subnodes: summary.num_subnodes(),
-        arena,
-        edges,
-    }
-}
 
 fn target_graph(seed: u64) -> Graph {
     caveman(&CavemanConfig {
@@ -84,28 +48,6 @@ fn stream_config(seed: u64) -> IncrementalConfig {
         max_shingle_splits: 4,
         seed,
         ..IncrementalConfig::default()
-    }
-}
-
-/// Asserts the warm-index candidate sets equal the from-scratch reference on the
-/// current view, for every per-batch pass seed.
-fn assert_oracle(inc: &mut IncrementalSummarizer, context: &str) {
-    let config = *inc.config();
-    let candidate_config = CandidateConfig {
-        max_group_size: config.max_candidate_size,
-        max_shingle_splits: config.max_shingle_splits,
-    };
-    for t in 1..=config.iterations {
-        let indexed = inc.probe_candidate_sets(t);
-        let roots: Vec<u32> = inc.summary().roots().collect();
-        let expected = candidates::reference::candidate_sets(
-            inc.summary(),
-            &inc.graph().to_graph(),
-            &roots,
-            pass_shingle_seed(config.seed, t),
-            &candidate_config,
-        );
-        assert_eq!(indexed, expected, "{context}: oracle diverged at pass {t}");
     }
 }
 
@@ -167,57 +109,6 @@ fn random_interleavings_match_the_reference_oracle() {
 }
 
 #[test]
-fn index_on_and_off_are_byte_identical_across_parallelism_and_shards() {
-    let target = target_graph(33);
-    let (initial, batches) = stream_batches(
-        &target,
-        &StreamConfig {
-            initial_fraction: 0.8,
-            num_batches: 4,
-            churn: 0.3,
-            seed: 9,
-        },
-    );
-    let run = |candidate_index: bool, parallelism: Parallelism, shards: usize| {
-        let mut inc = IncrementalSummarizer::bootstrap(
-            &initial,
-            &bootstrap_slugger(3),
-            IncrementalConfig {
-                candidate_index,
-                parallelism,
-                shards,
-                ..stream_config(17)
-            },
-        );
-        batches
-            .iter()
-            .map(|delta| {
-                inc.resummarize(delta);
-                canonical(inc.summary())
-            })
-            .collect::<Vec<_>>()
-    };
-    let baseline = run(false, Parallelism::Sequential, 8);
-    for parallelism in [1usize, 2, 4, 8] {
-        for shards in [1usize, 4, 16] {
-            let p = if parallelism == 1 {
-                Parallelism::Sequential
-            } else {
-                Parallelism::Fixed(parallelism)
-            };
-            let indexed = run(true, p, shards);
-            for (batch, (got, expected)) in indexed.iter().zip(baseline.iter()).enumerate() {
-                assert_eq!(
-                    got, expected,
-                    "index-on diverged from index-off after batch {batch} at \
-                     parallelism {parallelism}, shards {shards}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn mid_stream_compact_remaps_rather_than_drops_the_index() {
     let target = target_graph(41);
     let (initial, batches) = stream_batches(
@@ -240,7 +131,8 @@ fn mid_stream_compact_remaps_rather_than_drops_the_index() {
         inc.resummarize(delta);
     }
     // Warm the cache over every root, then force the remap.
-    inc.probe_candidate_sets(1);
+    let roots: Vec<u32> = inc.summary().roots().collect();
+    inc.probe_candidate_sets(1, &roots);
     let entries_before = inc.candidate_index().num_entries();
     assert!(entries_before > 0, "stream must have warmed the index");
     assert!(

@@ -106,6 +106,10 @@ fn check_recovery_contract(io: MemIo, expected: &str, what: &str) -> Result<(), 
         Err(DurableError::Io(e)) => {
             return Err(format!("{what}: unexpected I/O error: {e}"));
         }
+        // Ingest-time validation only; recovery must never report it.
+        Err(e @ DurableError::InvalidDelta { .. }) => {
+            return Err(format!("{what}: recovery returned {e}"));
+        }
     }
     Ok(())
 }

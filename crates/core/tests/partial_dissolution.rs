@@ -1,14 +1,12 @@
 //! Acceptance tests for subtree-granular **partial dissolution** (the streaming
-//! engine's localized alternative to whole-tree region dissolution):
+//! engine's localized re-expansion of the dirty region):
 //!
-//! * a proptest runs the same random delta stream — interleaved with forced
-//!   global prunes and forced compactions — through two maintained summaries
-//!   that differ only in [`IncrementalConfig::partial_dissolution`], and asserts
-//!   after **every** operation that both decode to the identical live graph and
-//!   both pass the full engine-bookkeeping validation (`MergeEngine::validate`);
-//! * the per-batch dissolution accounting is pinned: under partial dissolution
-//!   `dissolved_subnodes ≤ region_subnodes`, while whole-tree dissolution always
-//!   re-expands the entire region (`dissolved_subnodes == region_subnodes`);
+//! * a proptest runs a random delta stream — interleaved with forced global
+//!   prunes and forced compactions — through a maintained summary and asserts
+//!   after **every** operation that it decodes to the live graph and passes the
+//!   full engine-bookkeeping validation (`MergeEngine::validate`), and that each
+//!   batch re-expands at most the dirty region
+//!   (`dissolved_subnodes ≤ region_subnodes`);
 //! * a regression test pins the headline case — a delta touching exactly one
 //!   leaf of a deep multi-level tree kills only that leaf's root spine, leaving
 //!   the off-spine sibling subtree alive as a surviving supernode.
@@ -36,13 +34,9 @@ fn proptest_target(seed: u64) -> Graph {
 }
 
 /// The proptest body (a plain function so the vendored `proptest!` macro — which
-/// recurses per statement — only has to expand a single call): the same random
-/// delta batches and the same interleaved `prune_now`/`compact_now` operations
-/// drive a partial-dissolution summarizer and a whole-tree one side by side.
-/// The two summaries legitimately diverge structurally (different surviving
-/// roots re-enter planning), so the equivalence is semantic: identical decode
-/// output and valid engine bookkeeping after every operation.
-fn check_partial_matches_whole(graph_seed: u64, stream_seed: u64, ops: &[u8]) {
+/// recurses per statement — only has to expand a single call): random delta
+/// batches with interleaved `prune_now`/`compact_now` operations.
+fn check_partial_dissolution_stays_lossless(graph_seed: u64, stream_seed: u64, ops: &[u8]) {
     let target = proptest_target(graph_seed);
     let (initial, batches) = stream_batches(
         &target,
@@ -53,7 +47,7 @@ fn check_partial_matches_whole(graph_seed: u64, stream_seed: u64, ops: &[u8]) {
             seed: stream_seed,
         },
     );
-    let base = IncrementalConfig {
+    let config = IncrementalConfig {
         iterations: 3,
         max_candidate_size: 48,
         max_shingle_splits: 4,
@@ -69,81 +63,43 @@ fn check_partial_matches_whole(graph_seed: u64, stream_seed: u64, ops: &[u8]) {
         seed: graph_seed,
         ..SluggerConfig::default()
     });
-    let mut partial = IncrementalSummarizer::bootstrap(
-        &initial,
-        &slugger,
-        IncrementalConfig {
-            partial_dissolution: true,
-            ..base
-        },
-    );
-    let mut whole = IncrementalSummarizer::bootstrap(
-        &initial,
-        &slugger,
-        IncrementalConfig {
-            partial_dissolution: false,
-            ..base
-        },
-    );
+    let mut inc = IncrementalSummarizer::bootstrap(&initial, &slugger, config);
     let mut current = DynamicGraph::from_graph(&initial);
     for (i, (delta, &op)) in batches.iter().zip(ops.iter()).enumerate() {
         delta.apply_to(&mut current);
-        let rp = partial.resummarize(delta);
-        let rw = whole.resummarize(delta);
+        let report = inc.resummarize(delta);
         assert!(
-            rp.dissolved_subnodes <= rp.region_subnodes,
+            report.dissolved_subnodes <= report.region_subnodes,
             "batch {i}: partial dissolution re-expanded {} of {} region subnodes",
-            rp.dissolved_subnodes,
-            rp.region_subnodes
-        );
-        assert_eq!(
-            rw.dissolved_subnodes, rw.region_subnodes,
-            "batch {i}: whole-tree dissolution must re-expand the entire region"
+            report.dissolved_subnodes,
+            report.region_subnodes
         );
         match op {
             1 => {
-                partial.prune_now(1);
-                whole.prune_now(1);
+                inc.prune_now(1);
             }
             2 => {
-                partial.compact_now();
-                whole.compact_now();
+                inc.compact_now();
             }
             3 => {
-                partial.prune_now(2);
-                partial.compact_now();
-                whole.prune_now(2);
-                whole.compact_now();
+                inc.prune_now(2);
+                inc.compact_now();
             }
             _ => {}
         }
-        partial
-            .verify_lossless()
-            .unwrap_or_else(|e| panic!("batch {i}: partial path not lossless: {e}"));
-        whole
-            .verify_lossless()
-            .unwrap_or_else(|e| panic!("batch {i}: whole-tree path not lossless: {e}"));
-        partial
-            .validate()
-            .unwrap_or_else(|e| panic!("batch {i}: partial-path bookkeeping: {e}"));
-        whole
-            .validate()
-            .unwrap_or_else(|e| panic!("batch {i}: whole-tree bookkeeping: {e}"));
-        let live = current.to_graph().edge_set();
+        inc.verify_lossless()
+            .unwrap_or_else(|e| panic!("batch {i}: not lossless: {e}"));
+        inc.validate()
+            .unwrap_or_else(|e| panic!("batch {i}: engine bookkeeping: {e}"));
         assert_eq!(
-            slugger_core::decode::decode_full(partial.summary()).edge_set(),
-            live,
-            "batch {i}: partial-dissolution summary diverged from the live graph"
-        );
-        assert_eq!(
-            slugger_core::decode::decode_full(whole.summary()).edge_set(),
-            live,
-            "batch {i}: whole-tree summary diverged from the live graph"
+            slugger_core::decode::decode_full(inc.summary()).edge_set(),
+            current.to_graph().edge_set(),
+            "batch {i}: summary diverged from the live graph"
         );
     }
-    // Both streams converged to the target graph.
+    // The stream converged to the target graph.
     assert_eq!(
-        slugger_core::decode::decode_full(partial.summary()).edge_set(),
+        slugger_core::decode::decode_full(inc.summary()).edge_set(),
         target.edge_set()
     );
 }
@@ -152,12 +108,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn partial_dissolution_is_equivalent_to_whole_tree_dissolution(
+    fn partial_dissolution_stays_lossless_under_prune_and_compact_interleavings(
         graph_seed in 0u64..500,
         stream_seed in 0u64..500,
         ops in proptest::collection::vec(0u8..4, 5usize),
     ) {
-        check_partial_matches_whole(graph_seed, stream_seed, &ops);
+        check_partial_dissolution_stays_lossless(graph_seed, stream_seed, &ops);
     }
 }
 
@@ -197,7 +153,6 @@ fn delta_touching_one_leaf_of_a_deep_tree_dissolves_only_its_spine() {
         iterations: 0,
         prune_rounds: 0,
         compact_dead_ratio: 0.0,
-        partial_dissolution: true,
         ..IncrementalConfig::default()
     };
     let mut inc = IncrementalSummarizer::from_summary(summary, &graph, config)
