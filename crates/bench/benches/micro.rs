@@ -2,6 +2,8 @@
 //!
 //! * neighbor retrieval from a summary by partial decompression (Sect. VIII-B),
 //! * min-hash candidate generation (Sect. III-B2),
+//! * merge evaluation on the authoritative engine, and the planner's real hot
+//!   path: planning one candidate set on a copy-on-write overlay,
 //! * the local re-encoding solver with and without memoization (Sect. III-B3),
 //! * optimal flat encoding of a fixed grouping (the baselines' final phase),
 //! * one full SLUGGER run on a small structured graph.
@@ -12,8 +14,11 @@ use slugger_bench::ExperimentScale;
 use slugger_core::candidates::{candidate_sets, CandidateConfig};
 use slugger_core::decode::neighbors_of;
 use slugger_core::encoder::{pair_index, Case1Problem, Case1Shape, EncoderMemo};
+use slugger_core::engine::plan::{PlanScratch, PlanningEngine};
 use slugger_core::engine::MergeEngine;
+use slugger_core::merge::{merging_threshold, plan_candidate_set, MergeOptions};
 use slugger_core::model::HierarchicalSummary;
+use slugger_core::pipeline::set_rng;
 use slugger_core::MergeCtx;
 use slugger_core::{Slugger, SluggerConfig};
 use slugger_datasets::{dataset, DatasetKey};
@@ -112,6 +117,42 @@ fn bench_merge_evaluation(c: &mut Criterion) {
     });
 }
 
+fn bench_plan_candidate_set(c: &mut Criterion) {
+    // Algorithm 2 on the largest first-iteration candidate set of the LJ stand-in
+    // (a few dozen roots), planned on a `PlanningEngine` overlay with warm
+    // per-worker pools: the path the pipeline actually runs (cached panel
+    // blocks), unlike the engine-level evaluation above.
+    let graph = dataset(DatasetKey::LJ).generate(1.0);
+    let engine = MergeEngine::new(&graph);
+    let roots = engine.roots();
+    let set = candidate_sets(
+        engine.summary(),
+        &graph,
+        &roots,
+        1,
+        &CandidateConfig::default(),
+    )
+    .into_iter()
+    .max_by_key(|s| s.len())
+    .expect("the graph yields candidate sets");
+    let options = MergeOptions {
+        threshold: merging_threshold(1, 20),
+        height_bound: None,
+    };
+    let mut ctx = MergeCtx::new();
+    let mut scratch = PlanScratch::new();
+    c.bench_function("plan_candidate_set_lj_overlay", |b| {
+        b.iter(|| {
+            let mut overlay = PlanningEngine::new(&engine, &set, &mut scratch);
+            let mut rng = set_rng(0, 1, 0);
+            let (merges, stats) =
+                plan_candidate_set(&mut overlay, &mut ctx, black_box(&set), &options, &mut rng);
+            ctx.recycle_merges(merges);
+            black_box(stats.evaluated)
+        })
+    });
+}
+
 fn bench_encoder(c: &mut Criterion) {
     // A representative Case-1 problem: fully internal panel, dense-minus-one-pair.
     let shape = Case1Shape {
@@ -185,6 +226,7 @@ criterion_group!(
     bench_neighbor_query,
     bench_candidate_generation,
     bench_merge_evaluation,
+    bench_plan_candidate_set,
     bench_encoder,
     bench_flat_encoding,
     bench_slugger_end_to_end

@@ -190,9 +190,14 @@ pub trait MergeState {
     fn is_root(&self, id: SupernodeId) -> bool;
     /// Height of the tree rooted at `root`.
     fn root_height(&self, root: SupernodeId) -> usize;
-    /// Evaluates `Saving(A, B, G)` (Eq. 8) without mutating the state.
-    fn evaluate_merge(&self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx)
-        -> MergeEvaluation;
+    /// Evaluates `Saving(A, B, G)` (Eq. 8) without changing the summary state
+    /// (the planning overlay caches panel blocks, hence `&mut`).
+    fn evaluate_merge(
+        &mut self,
+        a: SupernodeId,
+        b: SupernodeId,
+        ctx: &mut MergeCtx,
+    ) -> MergeEvaluation;
     /// Merges roots `a` and `b`, applying the panel re-encodings; returns the merged
     /// root's id.
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId;
@@ -208,7 +213,7 @@ impl MergeState for MergeEngine {
     }
 
     fn evaluate_merge(
-        &self,
+        &mut self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
@@ -1040,7 +1045,9 @@ impl MergeEngine {
     // Saving evaluation and merge application
     // ------------------------------------------------------------------
 
-    /// Evaluates `Saving(A, B, G)` (Eq. 8) without mutating the model.
+    /// Evaluates `Saving(A, B, G)` (Eq. 8) without mutating the model.  Every
+    /// panel block is probed afresh: the engine's state moves between any two
+    /// evaluations, so only the per-set planning overlay caches blocks.
     pub fn evaluate_merge(
         &self,
         a: SupernodeId,
@@ -1048,7 +1055,7 @@ impl MergeEngine {
         ctx: &mut MergeCtx,
     ) -> MergeEvaluation {
         debug_assert!(self.roots.contains_key(&a) && self.roots.contains_key(&b) && a != b);
-        view::evaluate_merge(self, a, b, ctx)
+        view::evaluate_merge(self, &mut view::ProbeBlocks, a, b, ctx)
     }
 
     /// Roots adjacent (through p/n-edges) to both `a`'s and `b`'s trees.

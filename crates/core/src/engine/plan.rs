@@ -23,13 +23,23 @@
 //! # Pooled scratch
 //!
 //! All of the overlay's mutable state lives in a [`PlanScratch`] owned by the
-//! per-worker planner and *reused* across candidate sets: the three delta maps are
-//! cleared (keeping their capacity), and the per-root metadata values — each holding
-//! its own adjacency map — are drained into a free pool and recycled.  After the
-//! first few sets have warmed the pools, planning a set performs **zero heap
-//! allocations** (pinned by the counting-allocator test in
+//! per-worker planner and *reused* across candidate sets: the delta maps and the
+//! panel-block cache are cleared (keeping their capacity), and the per-root
+//! metadata values — each holding its own adjacency map — are drained into a free
+//! pool and recycled.  After the first few sets have warmed the pools, planning a
+//! set performs **zero heap allocations** (pinned by the counting-allocator test in
 //! `crates/core/tests/plan_alloc.rs`); previously every set churned three fresh
 //! `FxHashMap`s plus one adjacency clone per tracked root and per merge.
+//!
+//! # Panel-block cache
+//!
+//! The overlay's merge evaluations read panel edges as blocks (the p/n-edges
+//! between two roots' panels) through a per-set cache: each block is probed from
+//! the edge maps on its first request and served from the cache afterwards (see
+//! `BlockCache` for why nothing inside a set invalidates one).
+//! [`PlanningEngine::panel_blocks_built`] and
+//! [`PlanningEngine::panel_blocks_served`] count misses and hits; being per set,
+//! both are a pure function of the set and its RNG stream.
 //!
 //! # Replay mode
 //!
@@ -39,12 +49,13 @@
 //! replaying a plan's merges resolves them against concrete, authoritative ids —
 //! committing those resolutions is then byte-identical to the serial path.
 
-use super::view::{self, MergeView};
+use super::view::{self, Block, BlockSource, MergeView};
 use super::{
     Case2Record, MergeCtx, MergeEngine, MergeEvaluation, MergeState, ResolvedMerge, RootMeta,
 };
 use crate::model::{edge_key, SupernodeId};
 use slugger_graph::hash::FxHashMap;
+use std::collections::hash_map::Entry;
 
 /// A supernode created by this overlay's own merges.
 #[derive(Clone, Debug)]
@@ -72,6 +83,49 @@ pub struct PlanScratch {
     fold: FxHashMap<SupernodeId, u32>,
     /// Reused neighbor-root list of the relabel pass.
     neighbors: Vec<SupernodeId>,
+    /// Panel blocks probed by the current set's evaluations.
+    blocks: BlockCache,
+}
+
+/// The per-set panel [`Block`] cache of the overlay's merge evaluations.
+///
+/// A block is probed on its first request and served from the map afterwards;
+/// [`PlanScratch::reset`] clears it (keeping its capacity), so it never outlives
+/// one candidate set.  Nothing inside a set invalidates a block: merging `a` and
+/// `b` into `m` rewrites only edges with an endpoint in `{m} ∪ S_a ∪ S_b` (the
+/// merged panels), and neither `a` nor `b` is ever again a pivot, partner or
+/// common root, while blocks of `m` are new keys.
+#[derive(Default)]
+struct BlockCache {
+    /// Block of roots `(x, c)`, oriented: rows are `x`'s panel.
+    map: FxHashMap<(SupernodeId, SupernodeId), Block>,
+    /// Blocks probed (cache misses) since the last reset.
+    built: usize,
+    /// Blocks served from the map since the last reset.
+    served: usize,
+}
+
+impl BlockCache {
+    fn clear(&mut self) {
+        self.map.clear();
+        self.built = 0;
+        self.served = 0;
+    }
+}
+
+impl BlockSource for BlockCache {
+    fn block<V: MergeView + ?Sized>(&mut self, view: &V, x: SupernodeId, c: SupernodeId) -> Block {
+        match self.map.entry((x, c)) {
+            Entry::Occupied(e) => {
+                self.served += 1;
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                self.built += 1;
+                *e.insert(view::probe_block(view, x, c))
+            }
+        }
+    }
 }
 
 impl PlanScratch {
@@ -86,6 +140,7 @@ impl PlanScratch {
         self.local.clear();
         self.parent_override.clear();
         self.edges.clear();
+        self.blocks.clear();
         let mut metas = std::mem::take(&mut self.metas);
         for (_, meta) in metas.drain() {
             self.meta_pool.push(meta);
@@ -192,6 +247,16 @@ impl<'a> PlanningEngine<'a> {
             local_start,
             scratch,
         }
+    }
+
+    /// Panel blocks this set's evaluations probed so far (cache misses).
+    pub fn panel_blocks_built(&self) -> usize {
+        self.scratch.blocks.built
+    }
+
+    /// Panel block requests this set's evaluations served from the cache.
+    pub fn panel_blocks_served(&self) -> usize {
+        self.scratch.blocks.served
     }
 
     /// The id the overlay's next merge will allocate.
@@ -497,12 +562,16 @@ impl MergeState for PlanningEngine<'_> {
     }
 
     fn evaluate_merge(
-        &self,
+        &mut self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
     ) -> MergeEvaluation {
-        view::evaluate_merge(self, a, b, ctx)
+        // Taken out for the call so the view can be borrowed alongside it.
+        let mut blocks = std::mem::take(&mut self.scratch.blocks);
+        let eval = view::evaluate_merge(&*self, &mut blocks, a, b, ctx);
+        self.scratch.blocks = blocks;
+        eval
     }
 
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId {
@@ -530,10 +599,10 @@ mod tests {
         let engine = MergeEngine::new(&g);
         let mut ctx = MergeCtx::new();
         let mut scratch = PlanScratch::new();
-        let overlay = PlanningEngine::new(&engine, &[2, 3, 4, 5], &mut scratch);
+        let mut overlay = PlanningEngine::new(&engine, &[2, 3, 4, 5], &mut scratch);
         for (a, b) in [(2u32, 3u32), (4, 5), (2, 5)] {
             let direct = engine.evaluate_merge(a, b, &mut ctx);
-            let planned = MergeState::evaluate_merge(&overlay, a, b, &mut ctx);
+            let planned = MergeState::evaluate_merge(&mut overlay, a, b, &mut ctx);
             assert_eq!(direct.cost_before, planned.cost_before, "({a},{b})");
             assert_eq!(direct.cost_after, planned.cost_after, "({a},{b})");
         }
@@ -559,7 +628,7 @@ mod tests {
 
         // Evaluate the follow-up merge (m ∪ 4) on both.
         let direct = engine.evaluate_merge(em, 4, &mut ctx);
-        let planned = MergeState::evaluate_merge(&overlay, om, 4, &mut ctx);
+        let planned = MergeState::evaluate_merge(&mut overlay, om, 4, &mut ctx);
         assert_eq!(direct.cost_before, planned.cost_before);
         assert_eq!(direct.cost_after, planned.cost_after);
 
@@ -575,6 +644,107 @@ mod tests {
             engine.edges_between_roots(em2, 0),
             MergeView::edges_between_roots(&overlay, om2, 0)
         );
+    }
+
+    /// Drives an authoritative engine and an overlay over an identical frozen
+    /// engine through the same merge sequence (operand indices taken modulo the
+    /// live roots from `picks`) and asserts, before the first merge and after
+    /// every merge, that every live pair evaluates identically on both.  The
+    /// overlay tracks every root and keeps one block cache for the whole
+    /// sequence, so blocks cached before a merge are read after it.
+    fn assert_overlay_tracks_engine(
+        mut engine: MergeEngine,
+        frozen: &MergeEngine,
+        picks: &[(u16, u16)],
+    ) {
+        let mut ctx = MergeCtx::new();
+        let mut scratch = PlanScratch::new();
+        let roots = frozen.roots();
+        let mut overlay = PlanningEngine::new(frozen, &roots, &mut scratch);
+        // (engine id, overlay id) of every live root.
+        let mut live: Vec<(SupernodeId, SupernodeId)> = roots.iter().map(|&r| (r, r)).collect();
+        fn check(
+            engine: &MergeEngine,
+            overlay: &mut PlanningEngine<'_>,
+            ctx: &mut MergeCtx,
+            live: &[(SupernodeId, SupernodeId)],
+            step: usize,
+        ) {
+            for (i, &(ea, oa)) in live.iter().enumerate() {
+                for &(eb, ob) in &live[i + 1..] {
+                    let direct = engine.evaluate_merge(ea, eb, ctx);
+                    let planned = MergeState::evaluate_merge(overlay, oa, ob, ctx);
+                    assert_eq!(
+                        (direct.cost_before, direct.cost_after),
+                        (planned.cost_before, planned.cost_after),
+                        "pair ({ea}, {eb}) after {step} merges"
+                    );
+                }
+            }
+        }
+        check(&engine, &mut overlay, &mut ctx, &live, 0);
+        for (step, &(x, y)) in picks.iter().enumerate() {
+            if live.len() < 2 {
+                break;
+            }
+            let i = x as usize % live.len();
+            let (ea, oa) = live.swap_remove(i);
+            let j = y as usize % live.len();
+            let (eb, ob) = live.swap_remove(j);
+            let em = engine.apply_merge(ea, eb, &mut ctx);
+            let om = overlay.merge(oa, ob, &mut ctx);
+            live.push((em, om));
+            check(&engine, &mut overlay, &mut ctx, &live, step + 1);
+        }
+        assert!(
+            overlay.panel_blocks_served() > 0,
+            "the cache must serve repeats"
+        );
+    }
+
+    /// A random graph: sparse uniform, or hub-heavy preferential attachment (many
+    /// common adjacent roots per pair).
+    fn random_graph(seed: u64, hubby: bool) -> Graph {
+        if hubby {
+            slugger_graph::gen::barabasi_albert(28, 3, seed)
+        } else {
+            slugger_graph::gen::erdos_renyi(32, 70, seed)
+        }
+    }
+
+    /// The proptest body, on singleton roots or on an engine adopted from a
+    /// pruned multi-arity hierarchy.
+    fn check_overlay_tracks_engine(seed: u64, shape: u8, picks: &[(u16, u16)]) {
+        let g = random_graph(seed, shape & 1 == 1);
+        if shape < 2 {
+            assert_overlay_tracks_engine(MergeEngine::new(&g), &MergeEngine::new(&g), picks);
+        } else {
+            let summary = crate::Slugger::new(crate::SluggerConfig {
+                iterations: 3,
+                seed,
+                ..crate::SluggerConfig::default()
+            })
+            .summarize(&g)
+            .summary;
+            assert_overlay_tracks_engine(
+                MergeEngine::from_summary(summary.clone()),
+                &MergeEngine::from_summary(summary),
+                picks,
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn overlay_merges_track_the_engine_on_random_graphs(
+            seed in 0u64..10_000,
+            shape in 0u8..4,
+            picks in proptest::collection::vec((0u16..1_000, 0u16..1_000), 12usize),
+        ) {
+            check_overlay_tracks_engine(seed, shape, &picks);
+        }
     }
 
     #[test]
@@ -609,8 +779,8 @@ mod tests {
         }
         let mut a = PlanningEngine::new(&frozen, &[2, 3, 4], &mut cold);
         let mut b = PlanningEngine::new(&frozen, &[2, 3, 4], &mut warm);
-        let ea = MergeState::evaluate_merge(&a, 2, 3, &mut ctx);
-        let eb = MergeState::evaluate_merge(&b, 2, 3, &mut ctx);
+        let ea = MergeState::evaluate_merge(&mut a, 2, 3, &mut ctx);
+        let eb = MergeState::evaluate_merge(&mut b, 2, 3, &mut ctx);
         assert_eq!(ea.cost_before, eb.cost_before);
         assert_eq!(ea.cost_after, eb.cost_after);
         let ma = a.merge(2, 3, &mut ctx);

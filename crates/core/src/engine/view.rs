@@ -17,12 +17,23 @@
 //! always sound (see its docs), so merge evaluation and application need no
 //! special cases for pruned shapes.
 //!
+//! # Panel blocks
+//!
+//! Merge evaluation is the innermost loop of the pipeline: every candidate pair of
+//! every set of every iteration needs a Case-1 problem plus one Case-2 problem per
+//! common adjacent root.  [`evaluate_merge`] builds them from [`Block`]s — the
+//! p/n-edges between two roots' panels, 3×3 at most — obtained from a
+//! [`BlockSource`]: the authoritative engine probes each block afresh
+//! ([`ProbeBlocks`]), the planning overlay serves repeats from a per-set cache
+//! (see [`super::plan`]).  The probe builders [`case1_problem`] /
+//! [`case2_problem`] build the same problems straight from edge probes; they serve
+//! [`resolve_merge_into`] (the apply path) and, in debug builds, check every
+//! block-built evaluation.
+//!
 //! # Allocation discipline
 //!
-//! Merge evaluation is the innermost loop of the pipeline — every candidate pair of
-//! every set of every iteration builds a Case-1 problem plus one Case-2 problem per
-//! common adjacent root — so the problem builders are engineered to perform **no heap
-//! allocation per evaluation**:
+//! The problem builders are engineered to perform **no heap allocation per
+//! evaluation**:
 //!
 //! * panels are constant-size, so cells, panel supernodes and old panel edges live in
 //!   inline arrays ([`InlineVec`]); a panel has at most 6 supernodes, hence at most
@@ -188,6 +199,65 @@ fn cell_coverage_mask<V: MergeView + ?Sized>(
     mask
 }
 
+/// Adds a Case-1 panel edge of weight `w` whose endpoints cover the cells in
+/// `cov_x` and `cov_y` to `required`: the edge covers the product of the two
+/// coverages, and each unordered cell pair counts once (`seen` mask over pair
+/// indices).
+#[inline]
+fn add_case1_edge(required: &mut [i8; 10], k: usize, cov_x: u16, cov_y: u16, w: i32) {
+    let mut seen = 0u16;
+    let mut mi = cov_x;
+    while mi != 0 {
+        let ci = mi.trailing_zeros() as usize;
+        mi &= mi - 1;
+        let mut mj = cov_y;
+        while mj != 0 {
+            let cj = mj.trailing_zeros() as usize;
+            mj &= mj - 1;
+            let idx = pair_index(ci.min(cj), ci.max(cj), k);
+            if seen & (1 << idx) == 0 {
+                seen |= 1 << idx;
+                required[idx] = (required[idx] as i32 + w) as i8;
+            }
+        }
+    }
+}
+
+/// Adds a Case-2 panel edge of weight `w` between a yellow supernode covering the
+/// yellow cells in `cov_y` and an orange one covering the orange cells in `cov_o`
+/// (`kc` orange cells) to `required`.
+#[inline]
+fn add_case2_edge(required: &mut [i8; 8], kc: usize, cov_y: u16, cov_o: u16, w: i32) {
+    let mut mi = cov_y;
+    while mi != 0 {
+        let ci = mi.trailing_zeros() as usize;
+        mi &= mi - 1;
+        let mut mj = cov_o;
+        while mj != 0 {
+            let cj = mj.trailing_zeros() as usize;
+            mj &= mj - 1;
+            let idx = ci * kc + cj;
+            required[idx] = (required[idx] as i32 + w) as i8;
+        }
+    }
+}
+
+/// The Case-1 constrained mask over `k` cells: every cell pair spans a subnode
+/// pair except a cell paired with itself when it holds a single subnode (bit `i`
+/// of `big` set ⇔ cell `i` holds ≥ 2 subnodes).
+#[inline]
+fn case1_constrained(k: usize, big: u16) -> u16 {
+    let mut constrained = 0u16;
+    for i in 0..k {
+        for j in i..k {
+            if i != j || big & (1 << i) != 0 {
+                constrained |= 1 << pair_index(i, j, k);
+            }
+        }
+    }
+    constrained
+}
+
 /// The cells of one merged side in `cells()` order: the two children when internal,
 /// the root itself otherwise.
 #[inline]
@@ -237,15 +307,13 @@ pub(crate) fn case1_problem<V: MergeView + ?Sized>(
     push_side_cells(b_internal, b, &b_kids, &mut cell_concrete);
     let cells = cell_concrete.as_slice();
     let k = cells.len();
-    let mut constrained = 0u16;
+    let mut big = 0u16;
     for (i, &cell) in cells.iter().enumerate() {
-        for j in i..k {
-            let vacuous = i == j && view.node_size(cell) < 2;
-            if !vacuous {
-                constrained |= 1 << pair_index(i, j, k);
-            }
+        if view.node_size(cell) >= 2 {
+            big |= 1 << i;
         }
     }
+    let constrained = case1_constrained(k, big);
     // Existing panel edges: all p/n-edges among the panel supernodes of both sides.
     let panel_supers = yellow_panel_supers(&a_kids, &b_kids);
     let supers = panel_supers.as_slice();
@@ -262,24 +330,7 @@ pub(crate) fn case1_problem<V: MergeView + ?Sized>(
                 continue;
             }
             old_edges.push((x, y));
-            // A panel edge covers the product of its endpoints' cell coverages;
-            // each unordered cell pair counts once (`seen` mask over pair indices).
-            let mut seen = 0u16;
-            let mut mi = coverage[i];
-            while mi != 0 {
-                let ci = mi.trailing_zeros() as usize;
-                mi &= mi - 1;
-                let mut mj = coverage[j];
-                while mj != 0 {
-                    let cj = mj.trailing_zeros() as usize;
-                    mj &= mj - 1;
-                    let idx = pair_index(ci.min(cj), ci.max(cj), k);
-                    if seen & (1 << idx) == 0 {
-                        seen |= 1 << idx;
-                        required[idx] = (required[idx] as i32 + w) as i8;
-                    }
-                }
-            }
+            add_case1_edge(&mut required, k, coverage[i], coverage[j], w);
         }
     }
     (
@@ -363,18 +414,7 @@ pub(crate) fn case2_problem<V: MergeView + ?Sized>(
                 continue;
             }
             old_edges.push((x, y));
-            let mut mi = yellow_cov[i];
-            while mi != 0 {
-                let ci = mi.trailing_zeros() as usize;
-                mi &= mi - 1;
-                let mut mj = orange_cov[j];
-                while mj != 0 {
-                    let cj = mj.trailing_zeros() as usize;
-                    mj &= mj - 1;
-                    let idx = ci * kc + cj;
-                    required[idx] = (required[idx] as i32 + w) as i8;
-                }
-            }
+            add_case2_edge(&mut required, kc, yellow_cov[i], orange_cov[j], w);
         }
     }
     (Case2Problem { shape, required }, old_edges)
@@ -505,9 +545,185 @@ pub(crate) fn common_adjacent_roots_from_maps(
     );
 }
 
-/// Evaluates `Saving(A, B, G)` (Eq. 8) against any [`MergeView`] without mutating it.
-pub(crate) fn evaluate_merge<V: MergeView + ?Sized>(
+/// The p/n-edges between the panels of two roots `x` and `c`, probed once and
+/// then reusable by every evaluation that meets the pair (see [`BlockSource`]).
+///
+/// A *cross* block (`x ≠ c`) holds the signed weights between `x`'s and `c`'s
+/// panel supernodes; an *intra* block (`x = c`) holds the edges among `x`'s own
+/// panel supernodes plus which of `x`'s cells hold at least two subnodes.  Both
+/// record `c`'s shape, so a side's shape is read off its intra block.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Block {
+    /// `w[i][j]`: weight between `x`'s `i`-th and `c`'s `j`-th panel supernode,
+    /// both in [`side_panel`] order (0 = no edge).  An intra block fills only
+    /// `i ≤ j`.
+    w: [[i8; 3]; 3],
+    /// Whether `c` is binary (its panel is the root plus two children) rather
+    /// than an opaque single cell.
+    internal: bool,
+    /// Intra blocks only: bit `k` set ⇔ `x`'s `k`-th cell holds ≥ 2 subnodes.
+    big_cells: u8,
+    /// Number of non-zero weights: the old panel edges the block contributes.
+    edges: u8,
+}
+
+/// Probes the [`Block`] of roots `x` and `c` (`x = c` for the intra block).
+pub(crate) fn probe_block<V: MergeView + ?Sized>(
     view: &V,
+    x: SupernodeId,
+    c: SupernodeId,
+) -> Block {
+    let (x_internal, x_panel) = side_panel(view, x);
+    let (internal, c_panel) = side_panel(view, c);
+    let mut block = Block {
+        internal,
+        ..Block::default()
+    };
+    for (i, sx) in x_panel.iter().enumerate() {
+        let Some(sx) = *sx else { continue };
+        let first = if x == c { i } else { 0 };
+        for (j, sc) in c_panel.iter().enumerate().skip(first) {
+            let Some(sc) = *sc else { continue };
+            let w = view.edge_weight(sx, sc);
+            if w != 0 {
+                block.w[i][j] = w as i8;
+                block.edges += 1;
+            }
+        }
+    }
+    if x == c {
+        let cells = if x_internal {
+            &x_panel[1..]
+        } else {
+            &x_panel[..1]
+        };
+        for (k, cell) in cells.iter().enumerate() {
+            if view.node_size(cell.expect("panel cell")) >= 2 {
+                block.big_cells |= 1 << k;
+            }
+        }
+    }
+    block
+}
+
+/// Where a merge evaluation gets its panel [`Block`]s.
+pub(crate) trait BlockSource {
+    /// The block of roots `x` and `c` in `view`'s current state.
+    fn block<V: MergeView + ?Sized>(&mut self, view: &V, x: SupernodeId, c: SupernodeId) -> Block;
+}
+
+/// Probes every block afresh: the authoritative engine's source, whose state
+/// changes between any two evaluations.
+pub(crate) struct ProbeBlocks;
+
+impl BlockSource for ProbeBlocks {
+    fn block<V: MergeView + ?Sized>(&mut self, view: &V, x: SupernodeId, c: SupernodeId) -> Block {
+        probe_block(view, x, c)
+    }
+}
+
+/// Number of cells of a side: its two children when binary, itself otherwise.
+#[inline]
+fn side_cells(internal: bool) -> usize {
+    if internal {
+        2
+    } else {
+        1
+    }
+}
+
+/// Cell coverage of a side's panel supernodes in [`side_panel`] order, with the
+/// side's cells numbered from `offset`: a binary root covers both children's
+/// cells and each child its own; an opaque root is its own single cell.  Equal to
+/// [`cell_coverage_mask`] without the parent probes.
+#[inline]
+fn side_coverage(internal: bool, offset: usize) -> [u16; 3] {
+    if internal {
+        [0b11 << offset, 0b01 << offset, 0b10 << offset]
+    } else {
+        [1 << offset, 0, 0]
+    }
+}
+
+/// The Case-1 problem of merging `a` and `b` and its old-edge count, built from
+/// the intra blocks `aa` and `bb` and the cross block `ab` (all zero when the
+/// two trees share no edge) — the block-built equal of [`case1_problem`].
+fn case1_from_blocks(aa: &Block, bb: &Block, ab: &Block) -> (Case1Problem, usize) {
+    let shape = Case1Shape {
+        a_internal: aa.internal,
+        b_internal: bb.internal,
+    };
+    let ka = side_cells(aa.internal);
+    let k = ka + side_cells(bb.internal);
+    let cov_a = side_coverage(aa.internal, 0);
+    let cov_b = side_coverage(bb.internal, ka);
+    let mut required = [0i8; 10];
+    for (block, cov_x, cov_y) in [
+        (aa, &cov_a, &cov_a),
+        (bb, &cov_b, &cov_b),
+        (ab, &cov_a, &cov_b),
+    ] {
+        for (i, row) in block.w.iter().enumerate() {
+            for (j, &w) in row.iter().enumerate() {
+                if w != 0 {
+                    add_case1_edge(&mut required, k, cov_x[i], cov_y[j], w as i32);
+                }
+            }
+        }
+    }
+    let big = aa.big_cells as u16 | (bb.big_cells as u16) << ka;
+    let problem = Case1Problem {
+        shape,
+        required,
+        constrained: case1_constrained(k, big),
+    };
+    let old = aa.edges as usize + bb.edges as usize + ab.edges as usize;
+    (problem, old)
+}
+
+/// The Case-2 problem between the merged sides (shapes `a_internal`,
+/// `b_internal`) and a common root `c`, and its old-edge count, built from the
+/// cross blocks `ac` and `bc` — the block-built equal of [`case2_problem`].
+fn case2_from_blocks(
+    a_internal: bool,
+    b_internal: bool,
+    ac: &Block,
+    bc: &Block,
+) -> (Case2Problem, usize) {
+    debug_assert_eq!(ac.internal, bc.internal);
+    let shape = Case2Shape {
+        a_internal,
+        b_internal,
+        c_internal: ac.internal,
+    };
+    let kc = side_cells(ac.internal);
+    let cov_a = side_coverage(a_internal, 0);
+    let cov_b = side_coverage(b_internal, side_cells(a_internal));
+    let cov_c = side_coverage(ac.internal, 0);
+    let mut required = [0i8; 8];
+    for (block, cov_y) in [(ac, &cov_a), (bc, &cov_b)] {
+        for (i, row) in block.w.iter().enumerate() {
+            for (j, &w) in row.iter().enumerate() {
+                if w != 0 {
+                    add_case2_edge(&mut required, kc, cov_y[i], cov_c[j], w as i32);
+                }
+            }
+        }
+    }
+    let old = ac.edges as usize + bc.edges as usize;
+    (Case2Problem { shape, required }, old)
+}
+
+/// Evaluates `Saving(A, B, G)` (Eq. 8) against any [`MergeView`] without mutating
+/// it, reading the panel edges through `blocks`.
+///
+/// The Case-1 problem comes from the two intra blocks plus the `a`–`b` cross
+/// block (skipped when the trees share no edge), each Case-2 problem from the
+/// `(a, c)` and `(b, c)` cross blocks.  Debug builds check every problem against
+/// the probe builders [`case1_problem`] / [`case2_problem`].
+pub(crate) fn evaluate_merge<V: MergeView + ?Sized, B: BlockSource>(
+    view: &V,
+    blocks: &mut B,
     a: SupernodeId,
     b: SupernodeId,
     ctx: &mut MergeCtx,
@@ -520,22 +736,54 @@ pub(crate) fn evaluate_merge<V: MergeView + ?Sized>(
     let cost_before = cost_a + cost_b - cross;
 
     // Case 1.
-    let (problem1, old1) = case1_problem(view, a, b);
+    let aa = blocks.block(view, a, a);
+    let bb = blocks.block(view, b, b);
+    let ab = if cross == 0 {
+        Block::default()
+    } else {
+        blocks.block(view, a, b)
+    };
+    let (problem1, old1) = case1_from_blocks(&aa, &bb, &ab);
+    if cfg!(debug_assertions) {
+        let (reference, old) = case1_problem(view, a, b);
+        assert_eq!(
+            (problem1, old1),
+            (reference, old.len()),
+            "Case-1 of ({a}, {b})"
+        );
+    }
     let sol1 = memo.case1(&problem1);
-    let mut delta = sol1.cost as i64 - old1.len() as i64;
+    let mut delta = sol1.cost as i64 - old1 as i64;
 
     // Case 2, only for roots adjacent to both sides: for roots adjacent to exactly
     // one side the existing encoding remains optimal within the panel, so the
     // re-encoding is skipped both here and during application (keeping the two paths
-    // consistent is what makes the evaluation exact).
+    // consistent is what makes the evaluation exact).  A common root without panel
+    // edges to either side has an all-zero problem, solved by no edges: it
+    // contributes nothing and is skipped.
     view.common_adjacent_roots_into(a, b, &mut scratch.commons);
-    if !scratch.commons.is_empty() {
-        let yellow = case2_yellow(view, a, b);
-        for &c in scratch.commons.iter() {
-            let (problem2, old2) = case2_problem(view, &yellow, c);
-            let sol2 = memo.case2(&problem2);
-            delta += sol2.cost as i64 - old2.len() as i64;
+    let yellow = cfg!(debug_assertions).then(|| case2_yellow(view, a, b));
+    for &c in scratch.commons.iter() {
+        let ac = blocks.block(view, a, c);
+        let bc = blocks.block(view, b, c);
+        if ac.edges == 0 && bc.edges == 0 {
+            if let Some(yellow) = &yellow {
+                let (_, old) = case2_problem(view, yellow, c);
+                assert_eq!(old.len(), 0, "skipped common root {c} of ({a}, {b})");
+            }
+            continue;
         }
+        let (problem2, old2) = case2_from_blocks(aa.internal, bb.internal, &ac, &bc);
+        if let Some(yellow) = &yellow {
+            let (reference, old) = case2_problem(view, yellow, c);
+            assert_eq!(
+                (problem2, old2),
+                (reference, old.len()),
+                "Case-2 of ({a}, {b}) with {c}"
+            );
+        }
+        let sol2 = memo.case2(&problem2);
+        delta += sol2.cost as i64 - old2 as i64;
     }
 
     // +2 hierarchy edges for attaching A and B below the new root.

@@ -210,6 +210,10 @@ pub struct BatchReport {
     pub pairs_evaluated: usize,
     /// Merges performed by the per-batch pipeline passes.
     pub merges: usize,
+    /// Panel blocks the passes' planning overlays probed (per-set cache misses).
+    pub panel_blocks_built: usize,
+    /// Panel block requests served from the overlays' per-set caches.
+    pub panel_blocks_served: usize,
     /// What the post-batch region prune changed (all zeros when
     /// [`IncrementalConfig::prune_rounds`] is 0).
     pub prune: PruneReport,
@@ -659,6 +663,8 @@ impl IncrementalSummarizer {
             report.stages.apply += apply_start.elapsed();
             report.pairs_evaluated += stats.evaluated;
             report.merges += stats.merged;
+            report.panel_blocks_built += stats.panel_blocks_built;
+            report.panel_blocks_served += stats.panel_blocks_served;
             // Return spent merge vectors to the persistent planners, so
             // steady-state batches pop instead of allocating.
             self.planner_pool.recycle_plans(plans);

@@ -27,6 +27,12 @@ pub struct MergeStats {
     pub evaluated: usize,
     /// Number of merges performed.
     pub merged: usize,
+    /// Panel blocks the planning overlay probed from the edge map (see
+    /// [`crate::engine::plan`]); 0 when planning in place on the engine, which
+    /// probes every block.
+    pub panel_blocks_built: usize,
+    /// Panel block requests the planning overlay served from its per-set cache.
+    pub panel_blocks_served: usize,
 }
 
 impl MergeStats {
@@ -34,6 +40,8 @@ impl MergeStats {
     pub fn absorb(&mut self, other: MergeStats) {
         self.evaluated += other.evaluated;
         self.merged += other.merged;
+        self.panel_blocks_built += other.panel_blocks_built;
+        self.panel_blocks_served += other.panel_blocks_served;
     }
 }
 

@@ -96,6 +96,10 @@ pub struct IterationRecord {
     pub pairs_evaluated: usize,
     /// Merges performed.
     pub merges: usize,
+    /// Panel blocks probed by the planning overlays (per-set cache misses).
+    pub panel_blocks_built: usize,
+    /// Panel block requests served from the overlays' per-set caches.
+    pub panel_blocks_served: usize,
     /// Encoding cost at the end of the iteration.
     pub cost: usize,
     /// Number of roots at the end of the iteration.
@@ -104,12 +108,17 @@ pub struct IterationRecord {
 
 /// Wall-clock time spent in each pipeline stage, accumulated over all iterations.
 ///
-/// `candidates` + `plan` + `apply` + `prune` cover the pipeline; anything else
-/// (root collection, record keeping) is a sliver of `elapsed`.  The
+/// `candidates` + `plan` + `apply` + `prune` cover the pipeline stages, not all
+/// of `elapsed`.  Outside them a batch run spends time on engine construction
+/// (`MergeEngine::new`, a visible share of a short run), on collecting the roots
+/// and recording the cost after every iteration, and on the final metrics.  The
 /// `candidate_stage` bench binary reports these per run.  The streaming path
 /// ([`crate::incremental`]) reuses the struct per batch and additionally fills
 /// `localize` and `dissolve` (always zero for a batch [`Slugger`] run, which has
-/// no dirty region to localize).
+/// no dirty region to localize); outside its stages a batch spends time on
+/// applying the delta, on arena compaction (a large share of a compacting batch)
+/// and on snapshot publication
+/// ([`BatchReport::publish_elapsed`](crate::incremental::BatchReport::publish_elapsed)).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageProfile {
     /// Candidate generation (min-hash shingle grouping; stage 1).
@@ -276,6 +285,8 @@ impl Slugger {
                 candidate_sets: sets.len(),
                 pairs_evaluated: stats.evaluated,
                 merges: stats.merged,
+                panel_blocks_built: stats.panel_blocks_built,
+                panel_blocks_served: stats.panel_blocks_served,
                 cost: engine.summary().encoding_cost(),
                 roots: engine.num_roots(),
             });
@@ -374,7 +385,9 @@ impl ShardWorker for SluggerShardWorker<'_> {
     ) -> SetPlan {
         let SluggerPlanner { ctx, overlay } = planner;
         let mut overlay = PlanningEngine::new(self.view, set, overlay);
-        let (merges, stats) = plan_candidate_set(&mut overlay, ctx, set, &self.options, rng);
+        let (merges, mut stats) = plan_candidate_set(&mut overlay, ctx, set, &self.options, rng);
+        stats.panel_blocks_built = overlay.panel_blocks_built();
+        stats.panel_blocks_served = overlay.panel_blocks_served();
         SetPlan {
             set_index,
             merges,

@@ -54,6 +54,13 @@ fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
         // reference the conflict-partitioned path must reproduce exactly.
         let baseline = Slugger::new(config(Parallelism::Sequential, 8, seed)).summarize(&graph);
         let expected = canonical(&baseline.summary);
+        assert!(
+            baseline
+                .iterations
+                .iter()
+                .any(|r| r.panel_blocks_served > 0),
+            "{name}: the planner must serve panel blocks from its cache"
+        );
         for point in lattice() {
             let outcome =
                 Slugger::new(config(point.parallelism, point.shards, seed)).summarize(&graph);
@@ -70,6 +77,14 @@ fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
                 assert_eq!(a.merges, b.merges, "{name}: iteration {}", a.iteration);
                 assert_eq!(a.cost, b.cost, "{name}: iteration {}", a.iteration);
                 assert_eq!(a.roots, b.roots, "{name}: iteration {}", a.iteration);
+                // The panel-block cache is per candidate set, so its counters are
+                // a pure function of the sets and their RNG streams.
+                assert_eq!(
+                    (a.panel_blocks_built, a.panel_blocks_served),
+                    (b.panel_blocks_built, b.panel_blocks_served),
+                    "{name}: iteration {}",
+                    a.iteration
+                );
             }
             if point.threads > 1 {
                 assert!(

@@ -39,13 +39,13 @@ fn targets() -> Vec<(&'static str, Graph)> {
 }
 
 /// Runs the full stream under one pipeline setting, returning the canonical
-/// summary after every batch.
+/// summary and the panel-block counters (built, served) after every batch.
 fn run_stream(
     initial: &Graph,
     batches: &[slugger_graph::stream::GraphDelta],
     parallelism: Parallelism,
     shards: usize,
-) -> Vec<CanonicalSummary> {
+) -> Vec<(CanonicalSummary, (usize, usize))> {
     let bootstrap = Slugger::new(SluggerConfig {
         iterations: 4,
         max_candidate_size: 64,
@@ -74,8 +74,11 @@ fn run_stream(
     batches
         .iter()
         .map(|delta| {
-            inc.resummarize(delta);
-            canonical(inc.summary())
+            let report = inc.resummarize(delta);
+            (
+                canonical(inc.summary()),
+                (report.panel_blocks_built, report.panel_blocks_served),
+            )
         })
         .collect()
 }
@@ -93,12 +96,24 @@ fn incremental_stream_is_byte_identical_across_parallelism_and_shards() {
             },
         );
         let baseline = run_stream(&initial, &batches, Parallelism::Sequential, 8);
+        assert!(
+            baseline.iter().any(|(_, (_, served))| *served > 0),
+            "{name}: the planner must serve panel blocks from its cache"
+        );
         for point in lattice() {
             let run = run_stream(&initial, &batches, point.parallelism, point.shards);
             for (batch, (got, expected)) in run.iter().zip(baseline.iter()).enumerate() {
                 assert_eq!(
-                    got, expected,
+                    got.0, expected.0,
                     "{name}: summary diverged after batch {batch} at \
+                     parallelism {}, shards {}",
+                    point.threads, point.shards
+                );
+                // The panel-block cache is per candidate set, so its counters
+                // are a pure function of the sets and their RNG streams.
+                assert_eq!(
+                    got.1, expected.1,
+                    "{name}: panel-block counters diverged after batch {batch} at \
                      parallelism {}, shards {}",
                     point.threads, point.shards
                 );

@@ -1,0 +1,81 @@
+//! Golden outputs of the merge planner: encoding cost, pairs evaluated and merges
+//! of fixed batch and streaming runs, pinned to recorded numbers.
+//!
+//! The invariance suites compare settings against each other (thread counts,
+//! shard counts, scenarios), so a planner change that alters results the same
+//! way under every setting passes them all.  This suite compares against a
+//! baseline instead: a planner optimization must leave every number below
+//! exactly as it was.  If a change alters the algorithm on purpose, re-record
+//! the numbers and say so in the change description.
+
+use slugger::core::incremental::{IncrementalConfig, IncrementalSummarizer};
+use slugger::datasets::{dataset, DatasetKey};
+use slugger::graph::gen::{rmat, RmatConfig};
+use slugger::graph::stream::{stream_batches, StreamConfig};
+use slugger::prelude::*;
+
+/// The default configuration with T = 5.
+fn slugger() -> Slugger {
+    Slugger::new(SluggerConfig {
+        iterations: 5,
+        ..SluggerConfig::default()
+    })
+}
+
+fn rmat_graph() -> Graph {
+    rmat(&RmatConfig {
+        scale: 11,
+        num_edges: 6_000,
+        ..RmatConfig::default()
+    })
+}
+
+/// (encoding cost, Σ pairs evaluated, Σ merges) of a batch summarize.
+fn batch_numbers(graph: &Graph) -> (usize, usize, usize) {
+    let outcome = slugger().summarize(graph);
+    verify_lossless(&outcome.summary, graph).unwrap();
+    let pairs = outcome.iterations.iter().map(|r| r.pairs_evaluated).sum();
+    let merges = outcome.iterations.iter().map(|r| r.merges).sum();
+    (outcome.metrics.cost, pairs, merges)
+}
+
+#[test]
+fn lj_stand_in_batch_summarize_matches_the_golden_numbers() {
+    let graph = dataset(DatasetKey::LJ).generate(0.3);
+    assert_eq!((graph.num_nodes(), graph.num_edges()), (4_500, 12_101));
+    assert_eq!(batch_numbers(&graph), (11_420, 39_357, 1_678));
+}
+
+#[test]
+fn rmat_batch_summarize_matches_the_golden_numbers() {
+    let graph = rmat_graph();
+    assert_eq!(graph.num_edges(), 5_259);
+    assert_eq!(batch_numbers(&graph), (5_027, 34_773, 220));
+}
+
+#[test]
+fn rmat_stream_matches_the_golden_numbers() {
+    let target = rmat_graph();
+    let (initial, batches) = stream_batches(
+        &target,
+        &StreamConfig {
+            initial_fraction: 0.8,
+            num_batches: 6,
+            churn: 0.25,
+            seed: 1,
+        },
+    );
+    let mut stream =
+        IncrementalSummarizer::bootstrap(&initial, &slugger(), IncrementalConfig::default());
+    let (mut pairs, mut merges) = (0, 0);
+    for delta in &batches {
+        let report = stream.resummarize(delta);
+        pairs += report.pairs_evaluated;
+        merges += report.merges;
+    }
+    verify_lossless(stream.summary(), &target).unwrap();
+    assert_eq!(
+        (stream.summary().encoding_cost(), pairs, merges),
+        (5_047, 122_697, 1_165)
+    );
+}
