@@ -27,7 +27,10 @@
 //! 3. **Global analytics on the final snapshot** — full-graph `bfs_full` and
 //!    `pagerank` latencies, measured standalone (a global sweep is a batch
 //!    job, not an interactive query; mixing them into the concurrent loop
-//!    would just measure scheduler contention).
+//!    would just measure scheduler contention).  Both sweeps run on the
+//!    snapshot's decoded adjacency, which the first `bfs_full` run builds,
+//!    so that run's latency (the class max) includes the one `decode_full`.
+//!    PageRank is asserted bit-identical to PageRank over Algorithm 4.
 //!
 //! Extra flags on top of the shared [`ExperimentScale`] ones:
 //!
@@ -48,7 +51,7 @@ use crate::runner::ExperimentScale;
 use crate::table::{fmt_duration, TableWriter};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use slugger_core::decode::decode_full;
+use slugger_core::decode::{decode_full, SummaryNeighborView};
 use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
 use slugger_core::snapshot::{QueryEngine, SnapshotSlot};
 use slugger_core::{Slugger, SluggerConfig};
@@ -357,6 +360,15 @@ pub fn run_with(scale: &ExperimentScale, options: &QueryServingOptions) -> Strin
             pagerank.us.push(start.elapsed().as_secs_f64() * 1e6);
             assert_eq!(scores.len(), n);
         }
+        // The timed sweeps run on the snapshot's decoded adjacency; once,
+        // check them bit for bit against PageRank over Algorithm 4.
+        let view = SummaryNeighborView::new(engine.snapshot().summary());
+        let bits = |ranks: Vec<f64>| ranks.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(engine.pagerank(&pr_config)),
+            bits(slugger_algos::pagerank(&view, &pr_config)),
+            "snapshot PageRank diverged from PageRank over Algorithm 4"
+        );
     }
 
     // Aggregate the worker samples per class.
@@ -553,10 +565,12 @@ fn render_section(run: &ServingRun, iterations: usize) -> String {
     out.push_str(
         "\nIdentity is asserted after every batch (snapshot decode == current graph; \
          QueryEngine answers == decode on a node sample) and for full BFS against the \
-         decoded oracle.  `neighbors`/`degree` are cached point lookups (half hot-set, \
+         decoded oracle, and for PageRank bit for bit against Algorithm 4.  \
+         `neighbors`/`degree` are cached point lookups (half hot-set, \
          half uniform cold reads), `bfs2` a \
          depth-2 selector query inside the concurrent loop; `bfs_full`/`pagerank` are \
-         global sweeps measured standalone on the final snapshot.  Workers self-throttle \
+         global sweeps measured standalone on the final snapshot; they share its decoded \
+         adjacency, which the first `bfs_full` run builds.  Workers self-throttle \
          (sleep 100x work) so serving shares one CPU fairly with the batch loop.\n",
     );
     out

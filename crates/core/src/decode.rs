@@ -220,12 +220,6 @@ impl NeighborAccess for SummaryNeighborView<'_> {
     }
 }
 
-/// Iterates all edges of the summarized graph without materializing a [`Graph`]
-/// (used by size accounting in the harness).
-pub fn decoded_edge_count(summary: &HierarchicalSummary) -> usize {
-    decode_full(summary).num_edges()
-}
-
 /// The **id-free canonical form** of a summary: alive supernodes keyed by their
 /// member sets (unique — members strictly grow up the hierarchy and partition the
 /// subnodes across trees), each mapped to its parent's member set, plus the
@@ -363,7 +357,6 @@ mod tests {
         let decoded = decode_full(&s);
         assert_eq!(decoded.num_nodes(), 5);
         assert_eq!(decoded.num_edges(), 0);
-        assert_eq!(decoded_edge_count(&s), 0);
         assert!(neighbors_of(&s, 0).is_empty());
     }
 }

@@ -41,25 +41,41 @@
 //! wholesale whenever the engine re-pins onto a different snapshot, so a
 //! cached answer can never leak across epochs; hit/miss counters expose the
 //! hit rate.
+//!
+//! Point queries (`neighbors`, `degree`, `bfs_within`) decode one node at a
+//! time by Algorithm 4.  Whole-graph sweeps (`pagerank`, `bfs_distances`)
+//! touch every node, and PageRank touches every node once per iteration, so
+//! they run on [`SummarySnapshot::adjacency`] instead: the snapshot's graph
+//! decoded once by [`decode_full`] on the first sweep and shared by every
+//! reader pinning that `Arc`.  Its rows are sorted exactly like
+//! Algorithm 4's answers, so the sweeps return bit-identical results either
+//! way.  Publication never decodes; the CSR costs ≈ `(|V|+1)·8 + 2|E|·4`
+//! bytes, only for epochs that ran a sweep, and is freed when the snapshot
+//! retires.
 
-use crate::decode::{try_neighbors_of, DecodeError};
+use crate::decode::{decode_full, try_neighbors_of, DecodeError};
 use crate::model::HierarchicalSummary;
 use slugger_algos::PageRankConfig;
-use slugger_graph::graph::{NeighborAccess, NodeId};
+use slugger_graph::graph::{Graph, NeighborAccess, NodeId};
 use slugger_graph::hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// An immutable, validated view of the summary pinned to a batch epoch.
 ///
 /// Snapshots are self-contained (they own a clone of the summary), `Send +
 /// Sync`, and shared by `Arc` — see the module docs for the lifecycle.
 /// Queries go through [`QueryEngine`] or the [`NeighborAccess`] impl.
+///
+/// A snapshot may also hold its fully decoded graph ([`Self::adjacency`]),
+/// built on the first whole-graph sweep rather than at publication, so
+/// publishing costs the same whether or not anyone runs a sweep.
 #[derive(Clone, Debug)]
 pub struct SummarySnapshot {
     summary: HierarchicalSummary,
     epoch: usize,
     batch: usize,
+    adjacency: OnceLock<Graph>,
 }
 
 impl SummarySnapshot {
@@ -72,6 +88,7 @@ impl SummarySnapshot {
             summary,
             epoch,
             batch,
+            adjacency: OnceLock::new(),
         })
     }
 
@@ -104,6 +121,14 @@ impl SummarySnapshot {
     /// Degree of `v`, or a typed error for out-of-range ids.
     pub fn try_degree(&self, v: NodeId) -> Result<usize, DecodeError> {
         self.try_neighbors(v).map(|n| n.len())
+    }
+
+    /// The snapshot's whole graph as a CSR, decoded by [`decode_full`] on the
+    /// first call and shared by every later caller on any thread.  It costs
+    /// ≈ `(|V|+1)·8 + 2|E|·4` bytes for as long as the snapshot lives; point
+    /// queries never build it.
+    pub fn adjacency(&self) -> &Graph {
+        self.adjacency.get_or_init(|| decode_full(&self.summary))
     }
 }
 
@@ -297,17 +322,24 @@ impl QueryEngine {
         Ok(reached)
     }
 
-    /// Full single-source BFS over the snapshot (uncached — every node is
-    /// visited at most once, so caching would only churn the hot set).
+    /// Full single-source BFS over the snapshot's decoded graph
+    /// ([`SummarySnapshot::adjacency`], built by the first sweep on this
+    /// snapshot).  Bypasses the neighbor cache: every node is visited at most
+    /// once, so caching would only churn the hot set.
     pub fn bfs_distances(&mut self, source: NodeId) -> Result<Vec<Option<usize>>, DecodeError> {
         self.check_in_range(source)?;
-        Ok(slugger_algos::bfs_distances(&*self.snapshot, source))
+        Ok(slugger_algos::bfs_distances(
+            self.snapshot.adjacency(),
+            source,
+        ))
     }
 
-    /// PageRank over the snapshot (uncached global sweep).  Infallible: the
-    /// computation has no per-query id input.
+    /// PageRank over the snapshot's decoded graph
+    /// ([`SummarySnapshot::adjacency`], built by the first sweep on this
+    /// snapshot), bit-identical to running it on Algorithm 4.  Infallible:
+    /// the computation has no per-query id input.
     pub fn pagerank(&self, config: &PageRankConfig) -> Vec<f64> {
-        slugger_algos::pagerank(&*self.snapshot, config)
+        slugger_algos::pagerank(self.snapshot.adjacency(), config)
     }
 
     /// Cumulative cache hits over the engine's lifetime.  Counters survive
@@ -408,6 +440,19 @@ mod tests {
             assert!(engine.bfs_within(v, 2).is_err());
             // The NeighborAccess view maps the same ids to "no neighbors".
             assert!(snap.neighbors_vec(v).is_empty());
+        }
+        // Once a sweep has built the decoded adjacency, the range check still
+        // guards full BFS (the CSR would panic on an id past its rows).
+        engine.pagerank(&PageRankConfig::default());
+        assert_eq!(snap.adjacency(), &decode_full(snap.summary()));
+        for v in [6u32, 7, 1 << 20, u32::MAX] {
+            assert_eq!(
+                engine.bfs_distances(v),
+                Err(DecodeError::NodeOutOfRange {
+                    node: v,
+                    num_subnodes: 6
+                })
+            );
         }
     }
 

@@ -17,20 +17,25 @@
 //!   at every batch boundary.
 //! - **No panics**: arbitrary `u32` ids (way past the arena) never panic any
 //!   query entry point — they return typed errors or empty views (proptest).
+//! - **Sweeps**: `QueryEngine::{pagerank, bfs_distances}` run on the
+//!   snapshot's once-decoded adjacency, yet return bit-identical results to
+//!   the same algorithms over Algorithm 4 (`SummaryNeighborView`), for every
+//!   published snapshot, from concurrent readers, and across epochs.
 
 // The vendored `proptest!` macro expands recursively per statement.
 
 use proptest::prelude::*;
+use slugger_algos::PageRankConfig;
 use slugger_core::decode::{decode_full, try_neighbors_of, DecodeError, SummaryNeighborView};
 use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
-use slugger_core::snapshot::{QueryEngine, SnapshotSlot};
+use slugger_core::snapshot::{QueryEngine, SnapshotSlot, SummarySnapshot};
 use slugger_core::storage::durable::fault::{FaultPlan, MemIo};
 use slugger_core::storage::durable::{DurableError, DurablePolicy, DurableSummarizer};
 use slugger_core::{Parallelism, Slugger, SluggerConfig};
 use slugger_graph::gen::{caveman, CavemanConfig};
 use slugger_graph::stream::{stream_batches, StreamConfig};
 use slugger_graph::{Graph, NeighborAccess, NodeId};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn target_graph(seed: u64) -> Graph {
     caveman(&CavemanConfig {
@@ -103,6 +108,40 @@ fn assert_snapshot_matches_decode(slot: &SnapshotSlot, context: &str) {
         engine.cache_hits() > 0,
         "{context}: the second sweep must be served from the cache"
     );
+    assert_sweeps_match_algorithm4(&mut engine, context);
+    assert_eq!(snapshot.adjacency(), &decoded, "{context}: adjacency");
+}
+
+/// PageRank of `snapshot` over Algorithm 4 (per-node partial decompression),
+/// as bit patterns — the oracle the engine's decoded-adjacency sweeps must
+/// reproduce exactly.
+fn algorithm4_pagerank_bits(snapshot: &SummarySnapshot) -> Vec<u64> {
+    let view = SummaryNeighborView::new(snapshot.summary());
+    bits(&slugger_algos::pagerank(&view, &PageRankConfig::default()))
+}
+
+fn bits(ranks: &[f64]) -> Vec<u64> {
+    ranks.iter().map(|r| r.to_bits()).collect()
+}
+
+/// Asserts the engine's whole-graph sweeps equal the same algorithms run over
+/// Algorithm 4: PageRank bit for bit, full BFS from a spread of sources.
+fn assert_sweeps_match_algorithm4(engine: &mut QueryEngine, context: &str) {
+    let snapshot = Arc::clone(engine.snapshot());
+    assert_eq!(
+        bits(&engine.pagerank(&PageRankConfig::default())),
+        algorithm4_pagerank_bits(&snapshot),
+        "{context}: PageRank diverged from Algorithm 4"
+    );
+    let view = SummaryNeighborView::new(snapshot.summary());
+    let n = snapshot.num_subnodes() as NodeId;
+    for source in [0, n / 3, n / 2, n - 1] {
+        assert_eq!(
+            engine.bfs_distances(source).unwrap(),
+            slugger_algos::bfs_distances(&view, source),
+            "{context}: full BFS from {source} diverged from Algorithm 4"
+        );
+    }
 }
 
 #[test]
@@ -163,6 +202,82 @@ fn random_interleavings_publish_oracle_identical_snapshots() {
         decode_full(snapshot.summary()).edge_set(),
         target.edge_set()
     );
+}
+
+#[test]
+fn concurrent_sweeps_share_one_decode_bit_identically() {
+    let target = target_graph(61);
+    let outcome = bootstrap_slugger(61).summarize(&target);
+    let expected = {
+        // A separate snapshot of the same summary, swept on one thread.
+        let alone = SummarySnapshot::new(outcome.summary.clone(), 0, 0).unwrap();
+        bits(&QueryEngine::new(Arc::new(alone)).pagerank(&PageRankConfig::default()))
+    };
+    let shared = Arc::new(SummarySnapshot::new(outcome.summary, 0, 0).unwrap());
+    assert_eq!(expected, algorithm4_pagerank_bits(&shared));
+    let start = Barrier::new(2);
+    let results: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let snapshot = Arc::clone(&shared);
+                let start = &start;
+                scope.spawn(move || {
+                    let engine = QueryEngine::new(snapshot);
+                    start.wait();
+                    bits(&engine.pagerank(&PageRankConfig::default()))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep thread panicked"))
+            .collect()
+    });
+    for (thread, got) in results.iter().enumerate() {
+        assert_eq!(got, &expected, "thread {thread}: concurrent PageRank");
+    }
+    assert_eq!(shared.adjacency(), &decode_full(shared.summary()));
+}
+
+#[test]
+fn decoded_adjacency_never_leaks_across_epochs() {
+    let target = target_graph(71);
+    let (initial, batches) = stream_batches(
+        &target,
+        &StreamConfig {
+            initial_fraction: 0.7,
+            num_batches: 2,
+            churn: 0.3,
+            seed: 3,
+        },
+    );
+    let slot = SnapshotSlot::new();
+    let mut inc =
+        IncrementalSummarizer::bootstrap(&initial, &bootstrap_slugger(11), stream_config(31));
+    inc.attach_snapshots(slot.clone()).unwrap();
+    let mut engine = QueryEngine::new(slot.latest().unwrap());
+    let first = Arc::clone(engine.snapshot());
+    let before = bits(&engine.pagerank(&PageRankConfig::default()));
+    assert_eq!(before, algorithm4_pagerank_bits(&first));
+
+    inc.resummarize(&batches[0]);
+    let second = slot.latest().unwrap();
+    assert_ne!(
+        decode_full(second.summary()).edge_set(),
+        first.adjacency().edge_set(),
+        "the next epoch must represent a different graph"
+    );
+    assert!(engine.pin_latest(&slot));
+    let after = bits(&engine.pagerank(&PageRankConfig::default()));
+    assert_eq!(
+        after,
+        algorithm4_pagerank_bits(&second),
+        "a re-pinned engine must rank the new epoch's graph"
+    );
+    assert_ne!(after, before);
+    assert_eq!(second.adjacency(), &decode_full(second.summary()));
+    // The old epoch's reader-held view is untouched by the new one.
+    assert_eq!(first.adjacency(), &decode_full(first.summary()));
 }
 
 #[test]
