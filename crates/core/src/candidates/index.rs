@@ -28,14 +28,14 @@
 //!
 //! * `commit_merge(a, b → m)` retires `a` and `b` (`m` is a fresh id, never
 //!   cached);
-//! * `dissolve_root`/`dissolve_partial`/`detach_subtree`/`split_root` retire
-//!   the dissolved root plus every re-expanded leaf and promoted survivor
-//!   (belt-and-braces: the promoted ids could not hold a *valid* entry, but a
-//!   generation bump is one array write);
-//! * `prune_supernode` on a **root** retires the root and its child trees;
-//!   pruning an **internal** node deliberately emits nothing — the root's
-//!   member set (and hence its shingle) is unchanged, which is precisely the
-//!   case the cache is designed to survive;
+//! * the engine's one split commit — behind partial and whole-tree
+//!   dissolution and `prune_supernode` on a **root** — retires the split root
+//!   plus every dropped leaf and promoted survivor (belt-and-braces: the
+//!   promoted ids could not hold a *valid* entry, but a generation bump is one
+//!   array write);
+//! * `prune_supernode` on an **internal** node deliberately emits nothing —
+//!   the root's member set (and hence its shingle) is unchanged, which is
+//!   precisely the case the cache is designed to survive;
 //! * `compact` does **not** invalidate: the id-order-preserving
 //!   [`CompactionMap`] is applied to the index ([`CandidateIndex::remap`]), so
 //!   cached signatures survive arena compaction (pinned by

@@ -167,6 +167,16 @@ pub(crate) struct RootMeta {
 }
 
 impl RootMeta {
+    /// Metadata of a fresh root with no p/n-edges counted yet.
+    pub(crate) fn new(tree_size: usize, height: usize) -> Self {
+        RootMeta {
+            tree_size,
+            height,
+            adjacency: FxHashMap::default(),
+            pn_count: 0,
+        }
+    }
+
     pub(crate) fn h_edges(&self) -> usize {
         self.tree_size.saturating_sub(1)
     }
@@ -244,7 +254,8 @@ pub struct MergeEvaluation {
 /// [`MergeEngine::restore_leaf_edge`]; `new_roots` are ALL the roots split out of
 /// the dissolved tree (ascending) — the intact surviving subtrees plus the
 /// re-expanded leaves, so `restore_leaves ⊆ new_roots` and on the whole-tree
-/// path the two are equal.
+/// path (the same split with every internal node killed and every member
+/// dropped) the two are equal.
 #[derive(Clone, Debug)]
 pub struct PartialDissolution {
     /// Leaves whose coverage was zeroed and whose edges need restoring.
@@ -289,15 +300,7 @@ impl MergeEngine {
         let mut summary = HierarchicalSummary::identity(n);
         let mut roots: FxHashMap<SupernodeId, RootMeta> = FxHashMap::default();
         for u in 0..n as SupernodeId {
-            roots.insert(
-                u,
-                RootMeta {
-                    tree_size: 1,
-                    height: 0,
-                    adjacency: FxHashMap::default(),
-                    pn_count: 0,
-                },
-            );
+            roots.insert(u, RootMeta::new(1, 0));
         }
         for (u, v) in graph.edges() {
             summary.set_edge(u, v, EdgeSign::Positive);
@@ -343,15 +346,8 @@ impl MergeEngine {
         let mut roots: FxHashMap<SupernodeId, RootMeta> = FxHashMap::default();
         for &r in &root_ids {
             set_root.insert(r, r);
-            roots.insert(
-                r,
-                RootMeta {
-                    tree_size: summary.tree_supernodes(r).len(),
-                    height: summary.tree_height(r),
-                    adjacency: FxHashMap::default(),
-                    pn_count: 0,
-                },
-            );
+            let meta = RootMeta::new(summary.tree_supernodes(r).len(), summary.tree_height(r));
+            roots.insert(r, meta);
         }
         for ((x, y), _sign) in summary.pn_edges() {
             let rx = summary.root_of(x);
@@ -399,66 +395,10 @@ impl MergeEngine {
         }
     }
 
-    /// Dissolves the tree of `root` back into singleton-leaf roots: removes every
-    /// p/n-edge incident to the tree through the bookkeeping sink (so neighbor
-    /// roots' metadata stays exact), resets the union-find entries of the dissolved
-    /// region, and gives every leaf a fresh edge-free `RootMeta`.  Returns
-    /// `(leaves, killed_internal_supernodes)`.
-    ///
-    /// This is the dirty-region **re-expansion** primitive of
-    /// [`crate::incremental`]: after dissolving, the caller restores exact
-    /// leaf-level p-edges for the current graph's edges incident to the region,
-    /// which re-establishes losslessness with the region fully expanded.
-    pub fn dissolve_root(&mut self, root: SupernodeId) -> (usize, usize) {
-        debug_assert!(
-            self.roots.contains_key(&root),
-            "dissolve requires a current root"
-        );
-        let tree = self.summary.tree_supernodes(root);
-        // Drop every incident p/n-edge in deterministic (sorted) order: incidence
-        // sets iterate in hash-layout order, which legitimately differs between the
-        // serial and the parallel apply path's insertion histories.
-        let mut incident: Vec<SupernodeId> = Vec::new();
-        for &x in &tree {
-            incident.clear();
-            incident.extend(self.summary.incident(x));
-            incident.sort_unstable();
-            for &other in &incident {
-                self.remove_pn_edge(x, other);
-            }
-        }
-        // Root bookkeeping of the dissolved tree, then the structural dissolution.
-        let rep = self.find(root);
-        self.set_root.remove(&rep);
-        self.roots.remove(&root);
-        self.log_retire(root);
-        let nodes = self.summary.dissolve_tree(root);
-        let num_subnodes = self.summary.num_subnodes();
-        let mut leaves = 0usize;
-        for &x in &nodes {
-            self.dsu_parent[x as usize] = x;
-            if (x as usize) < num_subnodes {
-                self.log_retire(x);
-                self.set_root.insert(x, x);
-                self.roots.insert(
-                    x,
-                    RootMeta {
-                        tree_size: 1,
-                        height: 0,
-                        adjacency: FxHashMap::default(),
-                        pn_count: 0,
-                    },
-                );
-                leaves += 1;
-            }
-        }
-        (leaves, nodes.len() - leaves)
-    }
-
     /// Restores one exact leaf-level p-edge (the dirty-region re-encoding of a
     /// current-graph edge) through the bookkeeping sink.  The pair must currently
-    /// be uncovered — which holds by construction after [`MergeEngine::dissolve_root`]
-    /// removed every edge incident to the dirty trees.
+    /// be uncovered — which holds by construction for the restore leaves of
+    /// [`MergeEngine::dissolve_partial`], whose coverage the split zeroed.
     pub fn restore_leaf_edge(&mut self, u: SupernodeId, v: SupernodeId) {
         debug_assert_eq!(self.summary.edge_weight(u, v), 0);
         self.add_pn_edge(u, v, 1);
@@ -496,8 +436,7 @@ impl MergeEngine {
     /// Subtree-granular dissolution: re-expands only the `affected` leaves of
     /// `root`'s tree, killing their ancestor **spine** and promoting every intact
     /// sibling subtree to a root of its own — with exact `Saving(A, B, G)`
-    /// bookkeeping, exactly like [`MergeEngine::dissolve_root`] but proportional
-    /// to the delta, not the region.
+    /// bookkeeping, proportional to the delta rather than to the region.
     ///
     /// See [`PartialDissolution`] for the outcome contract.
     ///
@@ -549,7 +488,7 @@ impl MergeEngine {
         }
         let mut kill: Vec<SupernodeId> = kill_set.into_iter().collect();
         kill.sort_unstable();
-        match self.split_root(root, &kill, affected) {
+        match self.split(root, &kill, affected) {
             Some(new_roots) => PartialDissolution {
                 restore_leaves: affected.to_vec(),
                 new_roots,
@@ -561,51 +500,57 @@ impl MergeEngine {
     }
 
     /// The whole-tree path of [`MergeEngine::dissolve_partial`], packaged as a
-    /// [`PartialDissolution`] (every member becomes a restore leaf).
+    /// [`PartialDissolution`] (every member becomes a restore leaf): a split
+    /// that kills every internal node and drops every member, so every frontier
+    /// is empty and the split is always representable.  A lone-leaf root has no
+    /// internal node to kill; it only drops the leaf's edges.
     fn dissolve_whole(&mut self, root: SupernodeId) -> PartialDissolution {
         let members: Vec<SupernodeId> = self.summary.members(root).to_vec();
-        let (_, killed) = self.dissolve_root(root);
+        let mut kill: Vec<SupernodeId> = self.summary.tree_supernodes(root);
+        kill.retain(|&x| !self.summary.supernode(x).is_leaf());
+        kill.sort_unstable();
+        if kill.is_empty() {
+            self.drop_incident(root);
+            self.log_retire(root);
+        } else {
+            self.split(root, &kill, &members)
+                .expect("a whole-tree split has empty frontiers");
+        }
         PartialDissolution {
             new_roots: members.clone(),
             restore_leaves: members,
-            killed,
+            killed: kill.len(),
             fell_back: true,
         }
     }
 
-    /// Detaches the subtree rooted at `s` from its tree: kills `s`'s proper
-    /// ancestors (the spine up to the root) and promotes `s` and every intact
-    /// sibling subtree to roots, re-attaching the tree's edges exactly.  Returns
-    /// the promoted roots (ascending; `s` among them), or `None` when the exact
-    /// split is not representable (see [`MergeEngine::dissolve_partial`] — the
-    /// caller then falls back to [`MergeEngine::dissolve_root`]).
-    ///
-    /// This is the primitive [`crate::incremental`]'s localization drives:
-    /// detaching invalidates only the panel encodings of the killed ancestors, so
-    /// only they are re-expanded and only the promoted roots re-enter planning.
-    pub fn detach_subtree(&mut self, s: SupernodeId) -> Option<Vec<SupernodeId>> {
-        assert!(self.summary.is_alive(s), "cannot detach a dead supernode");
-        if self.summary.is_root(s) {
-            return Some(vec![s]);
+    /// Removes every p/n-edge incident to `x` through the bookkeeping sink, in
+    /// sorted order (the incidence set iterates in layout order, which is not
+    /// content-determined).
+    fn drop_incident(&mut self, x: SupernodeId) {
+        let mut incident: Vec<SupernodeId> = self.summary.incident(x).collect();
+        incident.sort_unstable();
+        for other in incident {
+            self.remove_pn_edge(x, other);
         }
-        let mut kill: Vec<SupernodeId> = Vec::new();
-        let mut cur = self.summary.parent(s);
-        let mut root = s;
-        while let Some(p) = cur {
-            kill.push(p);
-            root = p;
-            cur = self.summary.parent(p);
-        }
-        kill.sort_unstable();
-        self.split_root(root, &kill, &[])
     }
 
-    /// Shared split machinery of [`MergeEngine::dissolve_partial`] and
-    /// [`MergeEngine::detach_subtree`]: plans the exact re-attachment of every
-    /// edge incident to `root`'s tree under the kill/drop decomposition, and
-    /// commits it through the same remove-all / split / re-add template as the
-    /// root case of [`MergeEngine::prune_supernode`].  Returns the promoted
-    /// roots, or `None` (state untouched) when the plan is unrepresentable.
+    /// The engine's one tree-splitting commit, behind every structural edit
+    /// that breaks a root's tree apart:
+    ///
+    /// * [`MergeEngine::dissolve_partial`] kills the affected leaves' ancestor
+    ///   spine and drops those leaves;
+    /// * whole-tree dissolution kills every internal node and drops every
+    ///   member;
+    /// * the root case of [`MergeEngine::prune_supernode`] kills just the root.
+    ///
+    /// Plans the exact re-attachment of every edge incident to `root`'s tree
+    /// under the kill/drop decomposition, then commits it: remove every such
+    /// edge through the sink, split the structure
+    /// ([`HierarchicalSummary::detach_and_kill`]), rebuild the union-find and
+    /// root metadata of each promoted root, and re-add the planned edges.
+    /// Returns the promoted roots (ascending), or `None` (state untouched) when
+    /// the plan is unrepresentable.
     ///
     /// `kill` is the sorted, upward-closed spine of internal nodes to kill;
     /// `drop_leaves` the sorted affected leaves whose coverage is zeroed (their
@@ -618,7 +563,7 @@ impl MergeEngine {
     /// so each expanded pair's accumulated weight reproduces the pair's net
     /// coverage precisely (nested endpoints fold to a doubled self-loop weight,
     /// which is unrepresentable and triggers the fallback).
-    fn split_root(
+    fn split(
         &mut self,
         root: SupernodeId,
         kill: &[SupernodeId],
@@ -668,12 +613,19 @@ impl MergeEngine {
                 saved.push((x, y, summary.edge_sign(x, y).expect("incident edge")));
             }
         }
-        // Accumulate the expanded edges.  The budget keeps the expansion from
-        // ever exceeding the whole-tree cost it is meant to undercut (a root
-        // self-loop over a wide frontier expands quadratically).
+        // Collect the expanded edges as (pair, weight) contributions, summed per
+        // pair after a sort.  Only a killed endpoint's frontier can make two
+        // contributions share a pair; without one, every pair is already unique
+        // and `saved` order is deterministic, so the sort is skipped (a root
+        // prune, whose own edges are gone, hands every edge back as it was).
+        // The budget keeps the expansion from ever exceeding the whole-tree cost
+        // it is meant to undercut (a root self-loop over a wide frontier expands
+        // quadratically).
         let budget = 16 * (saved.len() + tree.len()) + 64;
         let mut ops = 0usize;
-        let mut final_weights: FxHashMap<(SupernodeId, SupernodeId), i32> = FxHashMap::default();
+        let mut contributions: Vec<((SupernodeId, SupernodeId), i32)> =
+            Vec::with_capacity(saved.len());
+        let mut any_expanded = false;
         for &(x, y, sign) in &saved {
             let w = sign.weight();
             if x == y {
@@ -682,6 +634,7 @@ impl MergeEngine {
                 // self-loop per multi-member survivor (singleton survivors cover
                 // zero pairs).  Surviving/dropped self-loops keep/lose it whole.
                 if kill.binary_search(&x).is_ok() {
+                    any_expanded = true;
                     let f = &frontier[&x];
                     ops += f.len() * (f.len() + 1) / 2;
                     if ops > budget {
@@ -689,22 +642,21 @@ impl MergeEngine {
                     }
                     for (i, &fi) in f.iter().enumerate() {
                         if summary.members(fi).len() > 1 {
-                            *final_weights.entry((fi, fi)).or_insert(0) += w;
+                            contributions.push(((fi, fi), w));
                         }
                         for &fj in &f[i + 1..] {
-                            *final_weights
-                                .entry(crate::model::edge_key(fi, fj))
-                                .or_insert(0) += w;
+                            contributions.push((crate::model::edge_key(fi, fj), w));
                         }
                     }
                 } else if drop_leaves.binary_search(&x).is_err() {
-                    *final_weights.entry((x, x)).or_insert(0) += w;
+                    contributions.push(((x, x), w));
                 }
                 continue;
             }
             let xbuf = [x];
             let ybuf = [y];
             let ex: &[SupernodeId] = if kill.binary_search(&x).is_ok() {
+                any_expanded = true;
                 &frontier[&x]
             } else if drop_leaves.binary_search(&x).is_ok() {
                 &[]
@@ -712,6 +664,7 @@ impl MergeEngine {
                 &xbuf
             };
             let ey: &[SupernodeId] = if kill.binary_search(&y).is_ok() {
+                any_expanded = true;
                 &frontier[&y]
             } else if drop_leaves.binary_search(&y).is_ok() {
                 &[]
@@ -727,27 +680,27 @@ impl MergeEngine {
                     if fx == fy {
                         // Nested endpoints: the decode rule iterates the shared
                         // members from both orientations, doubling the weight.
-                        *final_weights.entry((fx, fx)).or_insert(0) += 2 * w;
+                        contributions.push(((fx, fx), 2 * w));
                     } else {
-                        *final_weights
-                            .entry(crate::model::edge_key(fx, fy))
-                            .or_insert(0) += w;
+                        contributions.push((crate::model::edge_key(fx, fy), w));
                     }
                 }
             }
         }
+        if any_expanded {
+            contributions.sort_unstable_by_key(|&(key, _)| key);
+        }
         let mut re_add: Vec<((SupernodeId, SupernodeId), i32)> = Vec::new();
-        for (&key, &w) in &final_weights {
-            match w {
+        for run in contributions.chunk_by(|p, q| p.0 == q.0) {
+            match run.iter().map(|&(_, w)| w).sum::<i32>() {
                 0 => {}
-                -1 | 1 => re_add.push((key, w)),
+                w @ (-1 | 1) => re_add.push((run[0].0, w)),
                 _ => return None, // not representable as a single p/n-edge
             }
         }
-        re_add.sort_unstable();
         // Commit: remove everything incident to the tree through the sink, split
         // the structure, rebuild the union-find + root metadata per survivor, and
-        // re-add the planned edges — the prune_supernode root-split template.
+        // re-add the planned edges.
         for &(x, y, _) in &saved {
             self.remove_pn_edge(x, y);
         }
@@ -769,15 +722,8 @@ impl MergeEngine {
                 self.dsu_parent[x as usize] = c;
             }
             self.set_root.insert(c, c);
-            self.roots.insert(
-                c,
-                RootMeta {
-                    tree_size: subtree.len(),
-                    height: self.summary.tree_height(c),
-                    adjacency: FxHashMap::default(),
-                    pn_count: 0,
-                },
-            );
+            let meta = RootMeta::new(subtree.len(), self.summary.tree_height(c));
+            self.roots.insert(c, meta);
         }
         for &((a, b), w) in &re_add {
             self.add_pn_edge(a, b, w as i8);
@@ -792,18 +738,13 @@ impl MergeEngine {
     ///
     /// The node's own incident edges are dropped through the sink first.  Removing
     /// an **internal** node keeps the containing root's identity (its tree just
-    /// shrinks); removing a **root** splits its tree into one tree per child, so
-    /// the union-find, the root set and every re-attributed edge's adjacency
-    /// metadata are rebuilt for the split region — cost proportional to the tree
-    /// and its incident edges, never to the whole summary.
+    /// shrinks); removing a **root** splits its tree into one tree per child
+    /// through the engine's one split commit, so the union-find, the root set and
+    /// every re-attributed edge's adjacency metadata are rebuilt for the split
+    /// region — cost proportional to the tree and its incident edges, never to
+    /// the whole summary.
     pub fn prune_supernode(&mut self, id: SupernodeId) {
-        // Drop the node's own p/n-edges through the sink, in sorted order (the
-        // incidence set iterates in layout order, which is not content-determined).
-        let mut incident: Vec<SupernodeId> = self.summary.incident(id).collect();
-        incident.sort_unstable();
-        for other in incident {
-            self.remove_pn_edge(id, other);
-        }
+        self.drop_incident(id);
         let root = self.root_of(id);
         if root != id {
             // Internal node: the containing root keeps its identity; the tree
@@ -817,52 +758,11 @@ impl MergeEngine {
             meta.height = self.summary.tree_height(root);
             return;
         }
-        // Root removal: the tree splits into one tree per child.  Re-attributing
-        // the descendants' edges pair by pair would have to split adjacency maps;
-        // instead drop every edge incident to the tree through the sink, perform
-        // the split, and re-add them — the summary content is untouched (the same
-        // (x, y, sign) triples come back) while every neighbor's metadata is
-        // re-derived exactly.
-        let children = self.summary.children(id).to_vec();
-        let tree = self.summary.tree_supernodes(id);
-        let mut edges: Vec<(SupernodeId, SupernodeId, EdgeSign)> = Vec::new();
-        let mut buf: Vec<SupernodeId> = Vec::new();
-        for &x in &tree {
-            buf.clear();
-            buf.extend(self.summary.incident(x));
-            buf.sort_unstable();
-            for &y in &buf {
-                let sign = self.summary.edge_sign(x, y).expect("incident edge");
-                edges.push((x, y, sign));
-                self.remove_pn_edge(x, y);
-            }
-        }
-        let rep = self.find(id);
-        self.set_root.remove(&rep);
-        self.roots.remove(&id);
-        self.log_retire(id);
-        self.summary.prune_supernode(id);
-        self.dsu_parent[id as usize] = id;
-        for &c in &children {
-            self.log_retire(c);
-            let subtree = self.summary.tree_supernodes(c);
-            for &x in &subtree {
-                self.dsu_parent[x as usize] = c;
-            }
-            self.set_root.insert(c, c);
-            self.roots.insert(
-                c,
-                RootMeta {
-                    tree_size: subtree.len(),
-                    height: self.summary.tree_height(c),
-                    adjacency: FxHashMap::default(),
-                    pn_count: 0,
-                },
-            );
-        }
-        for (x, y, sign) in edges {
-            self.add_pn_edge(x, y, sign.weight() as i8);
-        }
+        // Root removal: a split killing only `id`.  Every survivor is its own
+        // frontier, so the same (x, y, sign) triples come back while every
+        // neighbor's metadata is re-derived exactly.
+        self.split(id, &[id], &[])
+            .expect("a root prune re-adds its edges unchanged");
     }
 
     /// Compacts the summary's arena ([`HierarchicalSummary::compact`]) and rebuilds
@@ -1559,15 +1459,17 @@ mod tests {
     }
 
     #[test]
-    fn dissolve_root_reexpands_and_keeps_neighbor_metadata_exact() {
+    fn whole_tree_dissolution_reexpands_and_keeps_neighbor_metadata_exact() {
         let g = double_star_7();
         let mut engine = MergeEngine::new(&g);
         let mut ctx = MergeCtx::new();
         let m = engine.apply_merge(2, 3, &mut ctx);
         let m2 = engine.apply_merge(m, 4, &mut ctx);
-        let (leaves, killed) = engine.dissolve_root(m2);
-        assert_eq!((leaves, killed), (3, 2));
-        engine.summary().validate().unwrap();
+        let part = engine.dissolve_partial(m2, &[2, 3, 4]);
+        assert!(part.fell_back);
+        assert_eq!(part.restore_leaves, vec![2, 3, 4]);
+        assert_eq!(part.killed, 2);
+        engine.validate().unwrap();
         // The dissolved leaves are fresh edge-free roots …
         for leaf in [2u32, 3, 4] {
             assert!(engine.summary().is_root(leaf));
@@ -1660,8 +1562,8 @@ mod tests {
         let mut ctx = MergeCtx::new();
         let m = engine.apply_merge(2, 3, &mut ctx);
         let m2 = engine.apply_merge(m, 4, &mut ctx);
-        let (leaves, killed) = engine.dissolve_root(m2);
-        assert_eq!((leaves, killed), (3, 2));
+        let part = engine.dissolve_partial(m2, &[2, 3, 4]);
+        assert_eq!((part.restore_leaves.len(), part.killed), (3, 2));
         for leaf in [2u32, 3, 4] {
             for hub in [0u32, 1] {
                 engine.restore_leaf_edge(leaf, hub);
@@ -1747,21 +1649,80 @@ mod tests {
     }
 
     #[test]
-    fn detach_subtree_promotes_the_subtree_and_its_siblings() {
+    fn split_promotes_the_subtree_and_its_siblings() {
         let g = double_star_7();
         let mut engine = MergeEngine::new(&g);
         let mut ctx = MergeCtx::new();
         let m = engine.apply_merge(2, 3, &mut ctx);
         let m2 = engine.apply_merge(m, 4, &mut ctx);
-        let promoted = engine.detach_subtree(m).expect("representable split");
+        // Killing the spine above `m` promotes `m` and its sibling leaf 4.
+        let promoted = engine.split(m2, &[m2], &[]).expect("representable split");
         assert_eq!(promoted, vec![4, m]);
         engine.validate().unwrap();
         assert!(engine.summary().is_root(m));
         assert!(engine.summary().is_root(4));
         assert!(!engine.summary().is_alive(m2));
         crate::decode::verify_lossless(engine.summary(), &g).unwrap();
-        // Detaching a root is a no-op promotion of itself.
-        assert_eq!(engine.detach_subtree(m), Some(vec![m]));
+        // Killing `m` as well promotes its leaves; nothing is dropped, so the
+        // engine re-attaches the edges onto them and stays lossless.
+        let promoted = engine.split(m, &[m], &[]).expect("representable split");
+        assert_eq!(promoted, vec![2, 3]);
+        engine.validate().unwrap();
+        crate::decode::verify_lossless(engine.summary(), &g).unwrap();
+    }
+
+    /// Every p/n-edge of the engine's summary as sorted `(x, y, weight)` triples.
+    fn edge_triples(engine: &MergeEngine) -> Vec<(SupernodeId, SupernodeId, i32)> {
+        let mut triples: Vec<(SupernodeId, SupernodeId, i32)> = engine
+            .summary()
+            .pn_edges()
+            .map(|((x, y), sign)| (x, y, sign.weight()))
+            .collect();
+        triples.sort_unstable();
+        triples
+    }
+
+    #[test]
+    fn root_prune_split_re_adds_the_same_edge_triples() {
+        // The root case of `prune_supernode`: once the root's own edges are
+        // gone, a split killing only the root hands every survivor its own
+        // edges back, so the summary's triples are unchanged.
+        let g = double_star_7();
+        let mut engine = MergeEngine::new(&g);
+        let mut ctx = MergeCtx::new();
+        let m = engine.apply_merge(2, 3, &mut ctx);
+        let m2 = engine.apply_merge(m, 4, &mut ctx);
+        let mut incident: Vec<SupernodeId> = engine.summary().incident(m2).collect();
+        incident.sort_unstable();
+        for hub in incident {
+            engine.remove_pn_edge(m2, hub);
+            engine.add_pn_edge(m, hub, 1);
+            engine.add_pn_edge(4, hub, 1);
+        }
+        let before = edge_triples(&engine);
+        let promoted = engine.split(m2, &[m2], &[]).expect("root prune split");
+        assert_eq!(promoted, vec![4, m]);
+        assert_eq!(edge_triples(&engine), before);
+        engine.validate().unwrap();
+        crate::decode::verify_lossless(engine.summary(), &g).unwrap();
+    }
+
+    #[test]
+    fn dissolve_partial_of_a_lone_leaf_root_only_drops_its_edges() {
+        let g = double_star_7();
+        let mut engine = MergeEngine::new(&g);
+        let part = engine.dissolve_partial(4, &[4]);
+        assert!(part.fell_back);
+        assert_eq!((part.restore_leaves, part.new_roots), (vec![4], vec![4]));
+        assert_eq!(part.killed, 0);
+        assert_eq!(engine.root_cost(4), 0);
+        engine.validate().unwrap();
+        for hub in [0u32, 1] {
+            engine.restore_leaf_edge(4, hub);
+        }
+        crate::decode::verify_lossless(engine.summary(), &g).unwrap();
+        let fresh = MergeEngine::new(&g);
+        assert_eq!(root_fingerprint(&engine), root_fingerprint(&fresh));
     }
 
     #[test]

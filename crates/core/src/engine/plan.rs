@@ -355,7 +355,7 @@ impl<'a> PlanningEngine<'a> {
         // Structural merge in the local arena.
         let size = self.node_size(a) + self.node_size(b);
         self.scratch.local.push(LocalNode {
-            children: [a, b],
+            children: [a.min(b), a.max(b)],
             size,
             parent: None,
         });

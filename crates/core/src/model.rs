@@ -55,8 +55,9 @@ impl EdgeSign {
 pub struct Supernode {
     /// Parent in the hierarchy forest (`None` for roots).
     pub parent: Option<SupernodeId>,
-    /// Direct children (empty for leaves). During the merging phase every internal
-    /// supernode has exactly two children; pruning may later rewire to higher arity.
+    /// Direct children (empty for leaves), in ascending id order. During the
+    /// merging phase every internal supernode has exactly two children; pruning
+    /// may later rewire to higher arity.
     pub children: Vec<SupernodeId>,
     /// Subnodes contained in this supernode, sorted ascending.
     pub members: Vec<NodeId>,
@@ -291,7 +292,7 @@ impl HierarchicalSummary {
         );
         self.supernodes[idx] = Supernode {
             parent: None,
-            children: vec![a, b],
+            children: vec![a.min(b), a.max(b)],
             members,
             alive: true,
         };
@@ -318,16 +319,18 @@ impl HierarchicalSummary {
             members.extend_from_slice(&self.supernodes[c as usize].members);
         }
         members.sort_unstable();
+        for &c in children {
+            self.supernodes[c as usize].parent = Some(id);
+        }
+        let mut children = children.to_vec();
+        children.sort_unstable();
         self.supernodes.push(Supernode {
             parent: None,
-            children: children.to_vec(),
+            children,
             members,
             alive: true,
         });
         self.incidence.push(FxHashSet::default());
-        for &c in children {
-            self.supernodes[c as usize].parent = Some(id);
-        }
         id
     }
 
@@ -419,9 +422,10 @@ impl HierarchicalSummary {
     }
 
     /// Removes a supernode from the model: detaches it from its parent, re-parents its
-    /// children to the removed node's parent (or makes them roots), and drops all
-    /// incident p/n-edges.  Callers (the pruning step) are responsible for having
-    /// re-encoded those edges first so that the represented graph does not change.
+    /// children to the removed node's parent (keeping the parent's children
+    /// ascending) or makes them roots, and drops all incident p/n-edges.  Callers
+    /// (the pruning step) are responsible for having re-encoded those edges first
+    /// so that the represented graph does not change.
     ///
     /// Leaves (singleton supernodes) cannot be pruned — they carry the identity of the
     /// subnodes.
@@ -448,42 +452,12 @@ impl HierarchicalSummary {
             let plist = &mut self.supernodes[p as usize].children;
             plist.retain(|&x| x != id);
             plist.extend_from_slice(&children);
+            plist.sort_unstable();
         }
         self.supernodes[id as usize].alive = false;
         self.supernodes[id as usize].parent = None;
         self.supernodes[id as usize].members.clear();
         self.supernodes[id as usize].members.shrink_to_fit();
-    }
-
-    /// Structurally dissolves the tree rooted at `root` back into singleton leaves:
-    /// every internal supernode of the tree is killed (children/members cleared,
-    /// marked dead) and every leaf becomes a parentless root again.  Returns the ids
-    /// of **all** supernodes that belonged to the tree (leaves and killed internal
-    /// nodes alike), in the deterministic preorder of
-    /// [`HierarchicalSummary::tree_supernodes`].
-    ///
-    /// The caller must have removed every p/n-edge incident to the tree's supernodes
-    /// first (the incremental engine routes those removals through its bookkeeping
-    /// sink); a dead supernode with edges would corrupt the model.  Used by the
-    /// dirty-region re-expansion of `slugger_core::incremental`.
-    pub fn dissolve_tree(&mut self, root: SupernodeId) -> Vec<SupernodeId> {
-        assert!(self.is_root(root), "only a root tree can be dissolved");
-        let nodes = self.tree_supernodes(root);
-        for &x in &nodes {
-            debug_assert!(
-                self.incidence[x as usize].is_empty(),
-                "supernode {x} still carries p/n-edges; remove them before dissolving"
-            );
-            let s = &mut self.supernodes[x as usize];
-            s.parent = None;
-            if !s.children.is_empty() {
-                s.children.clear();
-                s.members.clear();
-                s.members.shrink_to_fit();
-                s.alive = false;
-            }
-        }
-        nodes
     }
 
     /// Structurally splits the tree rooted at `root` along an upward-closed
@@ -492,19 +466,19 @@ impl HierarchicalSummary {
     /// node that is not itself killed becomes a parentless root.  Returns the
     /// promoted roots in ascending id order.
     ///
-    /// This is the subtree-granular counterpart of
-    /// [`HierarchicalSummary::dissolve_tree`]: a delta that touches a few leaves
-    /// only needs their ancestor *spine* killed, and every intact sibling
-    /// subtree survives as its own root.  `kill` must be sorted ascending,
-    /// contain `root`, and be upward-closed within the tree (the parent of every
-    /// non-root kill node is itself killed) — otherwise a killed node would keep
-    /// an alive parent, corrupting the forest.
+    /// Killing every internal node dissolves the whole tree back into
+    /// singleton-leaf roots; a delta that touches a few leaves only needs their
+    /// ancestor *spine* killed, and every intact sibling subtree survives as its
+    /// own root; killing just `root` splits the tree into one tree per child.
+    /// `kill` must be sorted ascending, contain `root`, and be upward-closed
+    /// within the tree (the parent of every non-root kill node is itself killed)
+    /// — otherwise a killed node would keep an alive parent, corrupting the
+    /// forest.
     ///
-    /// As with [`HierarchicalSummary::dissolve_tree`], the caller must have
-    /// removed every p/n-edge incident to the killed nodes first (the
-    /// incremental engine routes those removals — and the exact re-attachment of
-    /// the surviving structure's edges — through its bookkeeping sink; see
-    /// `MergeEngine::dissolve_partial`).
+    /// The caller must have removed every p/n-edge incident to the killed nodes
+    /// first (the incremental engine routes those removals — and the exact
+    /// re-attachment of the surviving structure's edges — through its
+    /// bookkeeping sink in its one split commit, `MergeEngine::split`).
     pub fn detach_and_kill(&mut self, root: SupernodeId, kill: &[SupernodeId]) -> Vec<SupernodeId> {
         assert!(self.is_root(root), "only a root tree can be split");
         debug_assert!(kill.windows(2).all(|w| w[0] < w[1]), "kill must be sorted");
@@ -649,8 +623,8 @@ impl HierarchicalSummary {
         depths
     }
 
-    /// Internal consistency check used by tests: parent/child symmetry, member unions,
-    /// incidence/edge agreement, edge counters.
+    /// Internal consistency check used by tests: parent/child symmetry, ascending
+    /// child order, member unions, incidence/edge agreement, edge counters.
     pub fn validate(&self) -> Result<(), String> {
         let mut p = 0usize;
         let mut n = 0usize;
@@ -682,6 +656,9 @@ impl HierarchicalSummary {
                 if !self.supernodes[par as usize].alive {
                     return Err(format!("supernode {id} has pruned parent"));
                 }
+            }
+            if s.children.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("children of {id} are not in ascending order"));
             }
             for &c in &s.children {
                 if self.supernodes[c as usize].parent != Some(id) {
@@ -884,9 +861,7 @@ mod tests {
         assert_eq!(s.parent(0), Some(m2));
         assert_eq!(s.parent(1), Some(m2));
         assert_eq!(s.num_p_edges(), 0);
-        let mut kids = s.children(m2).to_vec();
-        kids.sort_unstable();
-        assert_eq!(kids, vec![0, 1, 2]);
+        assert_eq!(s.children(m2), &[0, 1, 2]);
         assert_eq!(s.num_h_edges(), 3);
         s.validate().unwrap();
     }
@@ -923,7 +898,7 @@ mod tests {
     #[test]
     fn create_supernode_with_many_children() {
         let mut s = HierarchicalSummary::identity(4);
-        let m = s.create_supernode_with_children(&[0, 1, 2]);
+        let m = s.create_supernode_with_children(&[2, 0, 1]);
         assert_eq!(s.members(m), &[0, 1, 2]);
         assert_eq!(s.children(m), &[0, 1, 2]);
         assert_eq!(s.num_h_edges(), 3);
@@ -933,49 +908,26 @@ mod tests {
     }
 
     #[test]
+    fn children_stay_ascending_and_validate_rejects_any_other_order() {
+        let mut s = HierarchicalSummary::identity(4);
+        let m = s.merge_roots(3, 1);
+        assert_eq!(s.children(m), &[1, 3]);
+        let top = s.merge_roots(m, 0);
+        assert_eq!(s.children(top), &[0, m]);
+        // Pruning `m` hands its children to `top`, which keeps them ascending.
+        s.prune_supernode(m);
+        assert_eq!(s.children(top), &[0, 1, 3]);
+        s.validate().unwrap();
+        s.supernodes[top as usize].children.swap(0, 2);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("ascending"), "{err}");
+    }
+
+    #[test]
     #[should_panic(expected = "at least two children")]
     fn create_supernode_rejects_single_child() {
         let mut s = HierarchicalSummary::identity(2);
         let _ = s.create_supernode_with_children(&[0]);
-    }
-
-    #[test]
-    fn dissolve_tree_restores_singleton_roots() {
-        let mut s = HierarchicalSummary::identity(5);
-        let m01 = s.merge_roots(0, 1);
-        let m = s.merge_roots(m01, 2);
-        s.set_edge(3, 4, EdgeSign::Positive);
-        let nodes = s.dissolve_tree(m);
-        let mut sorted = nodes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, m01, m]);
-        for leaf in 0..3u32 {
-            assert!(s.is_root(leaf), "leaf {leaf} must be a root again");
-            assert_eq!(s.members(leaf), &[leaf]);
-        }
-        assert!(!s.is_alive(m01));
-        assert!(!s.is_alive(m));
-        assert_eq!(s.num_h_edges(), 0);
-        // The untouched edge (3, 4) survives.
-        assert_eq!(s.edge_sign(3, 4), Some(EdgeSign::Positive));
-        s.validate().unwrap();
-    }
-
-    #[test]
-    fn dissolve_tree_of_a_lone_leaf_is_a_no_op() {
-        let mut s = HierarchicalSummary::identity(2);
-        let nodes = s.dissolve_tree(0);
-        assert_eq!(nodes, vec![0]);
-        assert!(s.is_root(0));
-        s.validate().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "only a root")]
-    fn dissolve_tree_rejects_non_roots() {
-        let mut s = HierarchicalSummary::identity(2);
-        let _m = s.merge_roots(0, 1);
-        let _ = s.dissolve_tree(0);
     }
 
     #[test]
@@ -1015,12 +967,42 @@ mod tests {
     }
 
     #[test]
+    fn dissolve_tree_restores_singleton_roots() {
+        // Killing every internal node dissolves the tree back into singleton
+        // roots and leaves the rest of the summary alone.
+        let mut s = HierarchicalSummary::identity(5);
+        let m01 = s.merge_roots(0, 1);
+        let m = s.merge_roots(m01, 2);
+        s.set_edge(3, 4, EdgeSign::Positive);
+        let mut kill = vec![m, m01];
+        kill.sort_unstable();
+        let promoted = s.detach_and_kill(m, &kill);
+        assert_eq!(promoted, vec![0, 1, 2]);
+        for leaf in 0..3u32 {
+            assert!(s.is_root(leaf), "leaf {leaf} must be a root again");
+            assert_eq!(s.members(leaf), &[leaf]);
+        }
+        assert!(!s.is_alive(m01) && !s.is_alive(m));
+        assert_eq!(s.num_h_edges(), 0);
+        assert_eq!(s.edge_sign(3, 4), Some(EdgeSign::Positive));
+        s.validate().unwrap();
+    }
+
+    #[test]
     #[should_panic(expected = "only a root")]
     fn detach_and_kill_rejects_non_roots() {
         let mut s = HierarchicalSummary::identity(3);
         let m = s.merge_roots(0, 1);
         let top = s.merge_roots(m, 2);
         let _ = s.detach_and_kill(m, &[m, top]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only a root")]
+    fn dissolve_tree_rejects_non_roots() {
+        let mut s = HierarchicalSummary::identity(2);
+        let _m = s.merge_roots(0, 1);
+        let _ = s.detach_and_kill(0, &[]);
     }
 
     #[test]

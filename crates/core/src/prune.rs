@@ -25,9 +25,11 @@
 //!   anymore);
 //! * the live [`crate::engine::MergeEngine`] (the streaming path): its edge edits go
 //!   through the engine's p/n-edge bookkeeping sink and its structural removals
-//!   through [`crate::engine::MergeEngine::prune_supernode`], so every root's
-//!   `Saving(A, B, G)` metadata (adjacency counts, tree sizes, heights) stays exact
-//!   while the **maintained** summary is pruned in place.
+//!   through [`crate::engine::MergeEngine::prune_supernode`] — an internal node
+//!   shrinks its tree in place, a root goes through the engine's one split
+//!   commit — so every root's `Saving(A, B, G)` metadata (adjacency counts, tree
+//!   sizes, heights) stays exact while the **maintained** summary is pruned in
+//!   place.
 //!
 //! The same substep implementations run against both hosts, so the batch and the
 //! streaming path can never disagree about what pruning means.
@@ -94,8 +96,9 @@ pub trait PruneHost {
     /// Inserts (or overwrites) the p/n-edge between two supernodes.
     fn set_edge(&mut self, a: SupernodeId, b: SupernodeId, sign: EdgeSign);
     /// Removes a non-leaf supernode, re-parenting its children (or promoting them
-    /// to roots).  The caller has already re-encoded the node's edges; hosts with
-    /// extra bookkeeping re-attribute the tree's remaining edges themselves.
+    /// to roots).  The caller has already re-encoded the node's edges.  The
+    /// engine host splits a pruned root's tree through its one split commit,
+    /// which re-derives every promoted root's metadata from the same edges.
     fn prune_supernode(&mut self, id: SupernodeId);
 }
 

@@ -7,8 +7,9 @@
 //!
 //! Dead arena slots are never serialized and reading re-creates supernodes in
 //! ascending-id order, so a summary's encoding is already arena-*compact*: writing
-//! then reading is equivalent to [`HierarchicalSummary::compact`] as far as ids go
-//! (the id-free canonical form is preserved either way), and pruned, compacted
+//! then reading is equivalent to [`HierarchicalSummary::compact`] field by field.
+//! Children are rebuilt in ascending id order, which is the order the model
+//! always keeps them in, so child order survives too — and pruned, compacted
 //! streaming summaries round-trip mid-stream —
 //! `IncrementalSummarizer::from_summary` resumes from the reloaded bytes (pinned
 //! by `crates/core/tests/{storage_roundtrip,incremental_prune_compact}.rs`).

@@ -3,6 +3,9 @@
 //! * `write_summary` → `read_summary` preserves the **canonical form** of the
 //!   model — the id-free structure (member sets, parent links, signed edges) —
 //!   not merely `encoding_cost`;
+//! * on summaries a streaming scenario produces, `decode(encode(s))` equals a
+//!   compacted clone of `s` field by field, child order included, and a stream
+//!   resumed from the bytes mid-stream runs on exactly like the live one;
 //! * `read_summary` returns `Err` — it must **never panic or abort** — on
 //!   arbitrary byte soup, on every truncation of a valid encoding, and on
 //!   bit-flipped encodings (where a flip may also legitimately decode to a
@@ -14,9 +17,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
 use slugger_core::model::{EdgeSign, HierarchicalSummary};
-use slugger_core::storage::{read_summary, write_summary};
-use slugger_core::{Slugger, SluggerConfig};
+use slugger_core::storage::{decode_summary, encode_summary, read_summary, write_summary};
+use slugger_core::{Parallelism, Slugger, SluggerConfig};
+use slugger_graph::gen::{caveman, CavemanConfig};
+use slugger_graph::stream::{stream_batches, StreamConfig};
 use slugger_graph::Graph;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -205,5 +211,154 @@ proptest! {
         if let Ok(parsed) = read_summary(&bytes[..]) {
             parsed.validate().unwrap();
         }
+    }
+}
+
+/// Every field of a summary under compacted ids, in arena order: each slot's
+/// parent, children (in stored order) and members, plus the sorted p/n-edges.
+/// Compaction renumbers order-preservingly, exactly as a storage round trip
+/// does, so two summaries with the same content and child order compare equal.
+type Fields = (
+    Vec<(Option<u32>, Vec<u32>, Vec<u32>)>,
+    Vec<((u32, u32), i32)>,
+);
+
+fn fields(summary: &HierarchicalSummary) -> Fields {
+    let mut s = summary.clone();
+    s.compact();
+    let nodes = (0..s.arena_len() as u32)
+        .map(|id| {
+            assert!(s.is_alive(id), "a compacted arena is dense");
+            (
+                s.parent(id),
+                s.children(id).to_vec(),
+                s.members(id).to_vec(),
+            )
+        })
+        .collect();
+    let mut edges: Vec<((u32, u32), i32)> =
+        s.pn_edges().map(|(k, sign)| (k, sign.weight())).collect();
+    edges.sort_unstable();
+    (nodes, edges)
+}
+
+/// Where two [`fields`] first differ (`None` when they are equal), short
+/// enough for an assertion message on a 20k-node summary.
+fn first_difference(left: &Fields, right: &Fields) -> Option<String> {
+    if let Some(id) =
+        (0..left.0.len().max(right.0.len())).find(|&i| left.0.get(i) != right.0.get(i))
+    {
+        return Some(format!(
+            "supernode {id}: {:?} vs {:?}",
+            left.0.get(id),
+            right.0.get(id)
+        ));
+    }
+    let i = (0..left.1.len().max(right.1.len())).find(|&i| left.1.get(i) != right.1.get(i))?;
+    Some(format!(
+        "edge #{i}: {:?} vs {:?}",
+        left.1.get(i),
+        right.1.get(i)
+    ))
+}
+
+fn bytes_roundtrip(summary: &HierarchicalSummary) -> HierarchicalSummary {
+    decode_summary(&encode_summary(summary)).expect("an encoded summary must decode")
+}
+
+/// `decode(encode(s))` equals a compacted clone of `s` field by field — child
+/// order included — on every summary a scenario stream produces.
+#[test]
+fn decoding_an_encoded_stream_summary_equals_its_compacted_clone() {
+    for scenario in slugger_scenarios::registry() {
+        let stream = scenario.instantiate(0.015, 4, 29).collect_stream();
+        let slugger = Slugger::new(SluggerConfig {
+            iterations: 3,
+            seed: 7,
+            ..SluggerConfig::default()
+        });
+        let mut inc = IncrementalSummarizer::bootstrap(
+            &stream.initial,
+            &slugger,
+            IncrementalConfig::default(),
+        );
+        for batch in 0..=stream.batches.len() {
+            if batch > 0 {
+                inc.resummarize(&stream.batches[batch - 1]);
+            }
+            let restored = fields(&bytes_roundtrip(inc.summary()));
+            let diff = first_difference(&restored, &fields(inc.summary()));
+            assert!(
+                diff.is_none(),
+                "scenario {}, batch {batch}: the round trip changed {}",
+                scenario.name,
+                diff.unwrap_or_default()
+            );
+        }
+    }
+}
+
+/// A stream resumed from `read_summary(write_summary(..))` partway through
+/// runs the following batches exactly like the live stream, child order
+/// included.  Storage rebuilds children in ascending id order, so this holds
+/// only while the live model keeps them ascending too.
+#[test]
+fn a_stream_resumed_from_bytes_matches_the_live_stream() {
+    const STREAM_BATCHES: usize = 84;
+    const RESUME_AT: usize = 20;
+    const CHECKED_BATCHES: usize = 12;
+    let target = caveman(&CavemanConfig {
+        num_nodes: 20_000,
+        num_cliques: 2_500,
+        min_clique: 5,
+        max_clique: 10,
+        rewire_probability: 0.03,
+        ..CavemanConfig::default()
+    });
+    let (initial, batches) = stream_batches(
+        &target,
+        &StreamConfig {
+            initial_fraction: 0.9,
+            num_batches: STREAM_BATCHES,
+            churn: 0.25,
+            seed: 2,
+        },
+    );
+    let slugger = Slugger::new(SluggerConfig {
+        iterations: 5,
+        parallelism: Parallelism::Sequential,
+        ..SluggerConfig::default()
+    });
+    let config = IncrementalConfig {
+        parallelism: Parallelism::Sequential,
+        ..IncrementalConfig::default()
+    };
+    let mut live = IncrementalSummarizer::bootstrap(&initial, &slugger, config);
+    for delta in &batches[..RESUME_AT] {
+        live.resummarize(delta);
+    }
+    let mut buffer = Vec::new();
+    write_summary(live.summary(), &mut buffer).unwrap();
+    let mut resumed = IncrementalSummarizer::resume(
+        read_summary(&buffer[..]).unwrap(),
+        &live.graph().to_graph(),
+        config,
+        live.epoch(),
+        live.batches(),
+    )
+    .unwrap();
+    for (i, delta) in batches[RESUME_AT..RESUME_AT + CHECKED_BATCHES]
+        .iter()
+        .enumerate()
+    {
+        live.resummarize(delta);
+        resumed.resummarize(delta);
+        let diff = first_difference(&fields(resumed.summary()), &fields(live.summary()));
+        assert!(
+            diff.is_none(),
+            "batch {} after resuming diverged from the live stream at {}",
+            RESUME_AT + i,
+            diff.unwrap_or_default()
+        );
     }
 }
