@@ -20,36 +20,28 @@ fn main() {
         "\nScale {} | T = {} | seed {} | quick = {}\n",
         scale.scale, scale.iterations, scale.seed, scale.quick
     ));
-    eprintln!("[1/15] Fig. 1(a)");
+    eprintln!("[1/11] Fig. 1(a)");
     report.push_str(&experiments::fig1a::run(&scale));
-    eprintln!("[2/15] Fig. 1(b)");
+    eprintln!("[2/11] Fig. 1(b)");
     report.push_str(&experiments::fig1b::run(&scale));
-    eprintln!("[3/15] Fig. 5(a)+(b)");
+    eprintln!("[3/11] Fig. 5(a)+(b)");
     report.push_str(&experiments::fig5::run(&scale));
-    eprintln!("[4/15] Table III");
+    eprintln!("[4/11] Table III");
     report.push_str(&experiments::table3::run(&scale));
-    eprintln!("[5/15] Table IV");
+    eprintln!("[5/11] Table IV");
     report.push_str(&experiments::table4::run(&scale));
-    eprintln!("[6/15] Table V");
+    eprintln!("[6/11] Table V");
     report.push_str(&experiments::table5::run(&scale));
-    eprintln!("[7/15] Fig. 6");
+    eprintln!("[7/11] Fig. 6");
     report.push_str(&experiments::fig6::run(&scale));
-    eprintln!("[8/15] Neighbor query (Sect. VIII-B)");
+    eprintln!("[8/11] Neighbor query (Sect. VIII-B)");
     report.push_str(&experiments::neighbor_query::run(&scale));
-    eprintln!("[9/15] Graph algorithms (Sect. VIII-C)");
+    eprintln!("[9/11] Graph algorithms (Sect. VIII-C)");
     report.push_str(&experiments::graph_algorithms::run(&scale));
-    eprintln!("[10/15] Theorem 1");
+    eprintln!("[10/11] Theorem 1");
     report.push_str(&experiments::theorem1::run(&scale));
-    eprintln!("[11/15] Ablations");
+    eprintln!("[11/11] Ablations");
     report.push_str(&experiments::ablation_candidate_size::run(&scale));
-    eprintln!("[12/15] Thread scaling");
-    report.push_str(&experiments::thread_scaling::run(&scale));
-    eprintln!("[13/15] Candidate stage");
-    report.push_str(&experiments::candidate_stage::run(&scale));
-    eprintln!("[14/15] Streaming (incremental vs rebuild vs MoSSo)");
-    report.push_str(&experiments::streaming::run(&scale));
-    eprintln!("[15/15] Query serving (epoch snapshots under churn)");
-    report.push_str(&experiments::query_serving::run(&scale));
 
     print!("{report}");
     if let Some(path) = output {

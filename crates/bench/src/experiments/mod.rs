@@ -4,20 +4,16 @@
 //! concatenates into an EXPERIMENTS.md-ready document.
 
 pub mod ablation_candidate_size;
-pub mod candidate_stage;
 pub mod fig1a;
 pub mod fig1b;
 pub mod fig5;
 pub mod fig6;
 pub mod graph_algorithms;
 pub mod neighbor_query;
-pub mod query_serving;
-pub mod streaming;
 pub mod table3;
 pub mod table4;
 pub mod table5;
 pub mod theorem1;
-pub mod thread_scaling;
 
 /// Helper shared by the reports: a section heading.
 pub(crate) fn heading(title: &str) -> String {

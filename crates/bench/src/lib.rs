@@ -1,16 +1,15 @@
 //! # slugger-bench
 //!
-//! Experiment harness of the SLUGGER reproduction.  One binary per table/figure of the
-//! paper's evaluation (see DESIGN.md §4 for the index) plus Criterion micro-benchmarks.
+//! Experiment harness of the SLUGGER reproduction: one binary per table/figure of
+//! the paper's evaluation (figs 1, 5 and 6, tables III–V, Theorem 1 and the
+//! Sect. VIII appendix experiments) plus Criterion micro-benchmarks.  The running
+//! system's performance is measured by the end-to-end benchmark in `e2ebench/`,
+//! not here.
 //!
 //! * [`runner`] — dataset selection at a chosen scale, running SLUGGER and the four
 //!   baselines with the paper's parameters, and the shared `--scale/--iterations/...`
 //!   command-line flags.
 //! * [`table`] — plain-text / markdown table rendering for the reports.
-//! * [`history`] — the append-per-run JSON-Lines perf history (`BENCH_*.json` at the
-//!   repo root) the `streaming` and `candidate_stage` binaries write via `--history`.
-//! * [`perf_gate`] — the CI regression gate over the streaming history: the smoke run
-//!   fails when `incr_total_secs` regresses >20% vs the last same-config record.
 //! * [`experiments`] — one module per table/figure; each returns a report string that
 //!   the corresponding binary prints and `run_all_experiments` aggregates.
 
@@ -18,8 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod history;
-pub mod perf_gate;
 pub mod runner;
 pub mod table;
 

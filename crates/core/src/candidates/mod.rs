@@ -71,8 +71,8 @@ impl Default for CandidateConfig {
 
 /// Minimum group size for which the shingle fold is dealt across worker threads.
 /// Below this the per-thread spawn cost of the `rayon` substrate outweighs the fold.
-/// Public so multi-core hosts can sweep it from the bench crate (see ROADMAP); the
-/// cutoff never affects the grouping, only wall-clock time.
+/// Public so tests can size inputs against it; the cutoff never affects the
+/// grouping, only wall-clock time.
 pub const PARALLEL_SHINGLE_THRESHOLD: usize = 8_192;
 
 /// A group whose size times this factor reaches `|V|` folds through a per-round hash

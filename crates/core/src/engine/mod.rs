@@ -708,10 +708,12 @@ impl MergeEngine {
         self.set_root.remove(&rep);
         self.roots.remove(&root);
         self.log_retire(root);
-        for &d in drop_leaves {
-            self.log_retire(d);
-        }
+        // `kill` holds `root` and is upward-closed, so every dropped leaf's
+        // parent is killed: each comes back promoted and is retired below.
         let promoted = self.summary.detach_and_kill(root, kill);
+        debug_assert!(drop_leaves
+            .iter()
+            .all(|d| promoted.binary_search(d).is_ok()));
         for &d in kill {
             self.dsu_parent[d as usize] = d;
         }

@@ -148,7 +148,7 @@ pub struct IncrementalConfig {
     /// a corrupted maintained summary must never silently keep streaming.  `0`
     /// (the default) disables the check; it costs `O(arena + edges)` per run,
     /// so it is meant for soak tests and canary deployments, not every batch of
-    /// a hot stream.  The `streaming` bench wires it to `--validate-every`.
+    /// a hot stream.  `tests/incremental_prune_compact.rs` runs it every batch.
     pub validate_every: usize,
     /// Random seed of the per-batch pipeline runs.
     pub seed: u64,
@@ -193,9 +193,9 @@ pub struct BatchReport {
     /// every member of a tree that fell back to whole-tree dissolution.
     pub dissolved_subnodes: usize,
     /// Subnodes held by the dirty roots before dissolution — the denominator of
-    /// the `dissolved_subnodes / region_subnodes` ratio the streaming bench
-    /// reports (the smaller, the more of the region partial dissolution kept
-    /// intact).
+    /// the `dissolved_subnodes / region_subnodes` ratio (e2ebench's
+    /// `incremental.dissolved_over_region`; the smaller, the more of the region
+    /// partial dissolution kept intact).
     pub region_subnodes: usize,
     /// Exact leaf-level p-edges restored for the region.
     pub restored_edges: usize,
@@ -218,8 +218,7 @@ pub struct BatchReport {
     /// [`IncrementalConfig::prune_rounds`] is 0).
     pub prune: PruneReport,
     /// Wall-clock duration of the post-batch region prune alone.  Bounded by the
-    /// dirty region's size, not by the summary — the `streaming` bench reports it
-    /// per batch.
+    /// dirty region's size, not by the summary.
     pub prune_elapsed: std::time::Duration,
     /// Dead arena slots reclaimed by compaction at the end of this batch (0 when
     /// the dead-slot ratio stayed below the threshold).
@@ -234,8 +233,8 @@ pub struct BatchReport {
     /// Wall-clock cost of publishing the post-batch epoch snapshot (clone +
     /// validate + slot swap) — zero when no [`crate::snapshot::SnapshotSlot`]
     /// is attached.  Included in `elapsed`: publication is part of the batch
-    /// from the write loop's point of view, and the `query_serving` bench
-    /// reports it so the read path's cost to the writer stays honest.
+    /// from the write loop's point of view, and e2ebench reports it
+    /// (`snapshot.publish`) so the read path's cost to the writer stays honest.
     pub publish_elapsed: std::time::Duration,
     /// Wall-clock duration of the whole batch.
     pub elapsed: std::time::Duration,
@@ -838,8 +837,7 @@ impl IncrementalSummarizer {
     }
 
     /// Read access to the persistent candidate index — its cached-entry count
-    /// and per-batch hit statistics drive the streaming bench's effectiveness
-    /// columns and the invalidation-soundness tests.
+    /// and per-batch hit statistics drive the invalidation-soundness tests.
     pub fn candidate_index(&self) -> &CandidateIndex {
         &self.index
     }

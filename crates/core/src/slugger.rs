@@ -111,8 +111,8 @@ pub struct IterationRecord {
 /// `candidates` + `plan` + `apply` + `prune` cover the pipeline stages, not all
 /// of `elapsed`.  Outside them a batch run spends time on engine construction
 /// (`MergeEngine::new`, a visible share of a short run), on collecting the roots
-/// and recording the cost after every iteration, and on the final metrics.  The
-/// `candidate_stage` bench binary reports these per run.  The streaming path
+/// and recording the cost after every iteration, and on the final metrics.
+/// e2ebench reports that remainder as `slugger.other_s`.  The streaming path
 /// ([`crate::incremental`]) reuses the struct per batch and additionally fills
 /// `localize` and `dissolve` (always zero for a batch [`Slugger`] run, which has
 /// no dirty region to localize); outside its stages a batch spends time on

@@ -139,8 +139,7 @@ pub fn reference_shingles(
 /// [`crate::candidates::candidate_sets_indexed`] for every seed, but written
 /// the obvious way: every shingle pass goes through [`reference_shingles`] and
 /// runs on one thread with fresh allocations.  `tests/candidate_determinism.rs`
-/// pins the byte-for-byte equivalence; the `candidate_stage` bench quantifies
-/// the speedup.
+/// pins the byte-for-byte equivalence.
 pub fn reference_candidate_sets(
     summary: &HierarchicalSummary,
     graph: &Graph,

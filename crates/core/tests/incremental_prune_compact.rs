@@ -272,6 +272,8 @@ fn check_prune_compact_interleaving(
         max_shingle_splits: 4,
         prune_rounds,
         compact_dead_ratio: compact_ratio,
+        // The library's own self-check (panics on corrupt bookkeeping), every batch.
+        validate_every: 1,
         seed: stream_seed,
         ..IncrementalConfig::default()
     };

@@ -21,10 +21,14 @@
 //!   snapshot's once-decoded adjacency, yet return bit-identical results to
 //!   the same algorithms over Algorithm 4 (`SummaryNeighborView`), for every
 //!   published snapshot, from concurrent readers, and across epochs.
+//! - **Readers during publication**: reader threads re-pinning the slot while
+//!   the writer streams always answer exactly as the epoch they pinned.
 
 // The vendored `proptest!` macro expands recursively per statement.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use slugger_algos::PageRankConfig;
 use slugger_core::decode::{decode_full, try_neighbors_of, DecodeError, SummaryNeighborView};
 use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
@@ -35,6 +39,7 @@ use slugger_core::{Parallelism, Slugger, SluggerConfig};
 use slugger_graph::gen::{caveman, CavemanConfig};
 use slugger_graph::stream::{stream_batches, StreamConfig};
 use slugger_graph::{Graph, NeighborAccess, NodeId};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 fn target_graph(seed: u64) -> Graph {
@@ -237,6 +242,76 @@ fn concurrent_sweeps_share_one_decode_bit_identically() {
         assert_eq!(got, &expected, "thread {thread}: concurrent PageRank");
     }
     assert_eq!(shared.adjacency(), &decode_full(shared.summary()));
+}
+
+/// Readers re-pin the slot in a loop while the writer streams and publishes:
+/// every answer must match `decode_full` of the very epoch the reader pinned
+/// (never a torn or mixed view), pins only move forward, and each reader's
+/// last pin — taken after the writer stopped — lands on the final epoch.
+#[test]
+fn concurrent_readers_match_the_epoch_they_pinned_during_publication() {
+    let target = target_graph(83);
+    let (initial, batches) = stream_batches(
+        &target,
+        &StreamConfig {
+            initial_fraction: 0.7,
+            num_batches: 10,
+            churn: 0.3,
+            seed: 5,
+        },
+    );
+    let slot = SnapshotSlot::new();
+    let mut inc =
+        IncrementalSummarizer::bootstrap(&initial, &bootstrap_slugger(13), stream_config(23));
+    inc.attach_snapshots(slot.clone()).unwrap();
+    let num_nodes = initial.num_nodes() as NodeId;
+    let done = AtomicBool::new(false);
+    let last_pins: Vec<(usize, usize)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|reader| {
+                let (slot, done) = (&slot, &done);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(reader);
+                    let sample: Vec<NodeId> =
+                        (0..16).map(|_| rng.random_range(0..num_nodes)).collect();
+                    let mut engine = QueryEngine::new(slot.latest().expect("published"));
+                    loop {
+                        // Read the flag before pinning, so the final pass pins
+                        // after the writer's last publication.
+                        let stop = done.load(Ordering::Acquire);
+                        let before = engine.epoch();
+                        assert!(engine.pin_latest(slot));
+                        let pinned = engine.epoch();
+                        assert!(pinned >= before, "reader {reader}: pin went backwards");
+                        let decoded = decode_full(engine.snapshot().summary());
+                        for &v in &sample {
+                            assert_eq!(
+                                engine.neighbors(v).unwrap(),
+                                decoded.neighbors(v),
+                                "reader {reader}: epoch {pinned:?}: node {v}"
+                            );
+                        }
+                        if stop {
+                            return pinned;
+                        }
+                    }
+                })
+            })
+            .collect();
+        for delta in &batches {
+            inc.resummarize(delta);
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .map(|h| h.join().expect("reader thread panicked"))
+            .collect()
+    });
+    let last = slot.latest_epoch().expect("published");
+    assert_eq!(last.1, batches.len());
+    for (reader, pinned) in last_pins.iter().enumerate() {
+        assert_eq!(*pinned, last, "reader {reader}: final pin");
+    }
 }
 
 #[test]

@@ -9,8 +9,7 @@
 //! total stream is never materialized, so instances can exceed RAM.
 //!
 //! The [`registry`] names the scenarios the tier-1 `scenario_matrix` test
-//! re-proves the whole invariance lattice on, and the ones the `streaming` /
-//! `query_serving` bench bins accept via `--scenario NAME`.
+//! re-proves the whole invariance lattice on.
 //!
 //! Everything is a pure function of `(scenario, scale, num_batches, seed)`:
 //! two instantiations with equal arguments produce byte-identical streams.
@@ -115,7 +114,7 @@ impl ScenarioInstance {
     }
 
     /// Drains the stream into memory (initial + all batches + final state).
-    /// Convenience for benches and tests at smoke scale; defeats the
+    /// Convenience for tests at smoke scale; defeats the
     /// streaming property, so avoid it for very long scenarios.
     pub fn collect_stream(mut self) -> CollectedScenario {
         let initial = self.initial.clone();
@@ -171,9 +170,6 @@ pub struct CollectedScenario {
 }
 
 /// All registered scenarios, in stable order.
-///
-/// Names are part of the bench history / perf-gate key — renaming one rolls
-/// its gate baseline over.
 pub fn registry() -> Vec<Scenario> {
     vec![
         Scenario {
