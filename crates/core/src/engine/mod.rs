@@ -190,6 +190,17 @@ impl RootMeta {
         );
         self.pn_count
     }
+
+    /// `Cost_A(G) = Cost^H_A + Cost^P_A` (Eq. 6).
+    pub(crate) fn cost(&self) -> usize {
+        self.h_edges() + self.pn_incident()
+    }
+
+    /// Number of p/n-edges between this tree and `other`'s (within the tree when
+    /// `other` is its own root).
+    pub(crate) fn adjacency_to(&self, other: SupernodeId) -> usize {
+        self.adjacency.get(&other).copied().unwrap_or(0) as usize
+    }
 }
 
 /// The mutable planning surface Algorithm 2 needs, implemented both by the
@@ -201,13 +212,27 @@ pub trait MergeState {
     /// Height of the tree rooted at `root`.
     fn root_height(&self, root: SupernodeId) -> usize;
     /// Evaluates `Saving(A, B, G)` (Eq. 8) without changing the summary state
-    /// (the planning overlay caches panel blocks, hence `&mut`).
+    /// (the planning overlay caches panel blocks, hence `&mut`), or returns
+    /// `None` — before reading any panel — when an upper bound on the saving
+    /// shows the pair cannot clear `cutoff`.
+    fn evaluate_merge_bounded(
+        &mut self,
+        a: SupernodeId,
+        b: SupernodeId,
+        ctx: &mut MergeCtx,
+        cutoff: &MergeCutoff,
+    ) -> Option<MergeEvaluation>;
+    /// Evaluates `Saving(A, B, G)` (Eq. 8) in full: [`Self::evaluate_merge_bounded`]
+    /// with no cutoff.
     fn evaluate_merge(
         &mut self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
-    ) -> MergeEvaluation;
+    ) -> MergeEvaluation {
+        self.evaluate_merge_bounded(a, b, ctx, &MergeCutoff::NONE)
+            .expect("an evaluation without cutoff is never skipped")
+    }
     /// Merges roots `a` and `b`, applying the panel re-encodings; returns the merged
     /// root's id.
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId;
@@ -222,13 +247,14 @@ impl MergeState for MergeEngine {
         MergeEngine::root_height(self, root)
     }
 
-    fn evaluate_merge(
+    fn evaluate_merge_bounded(
         &mut self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
-    ) -> MergeEvaluation {
-        MergeEngine::evaluate_merge(self, a, b, ctx)
+        cutoff: &MergeCutoff,
+    ) -> Option<MergeEvaluation> {
+        view::evaluate_merge(&*self, &mut view::ProbeBlocks, a, b, ctx, cutoff)
     }
 
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId {
@@ -245,6 +271,30 @@ pub struct MergeEvaluation {
     pub cost_before: usize,
     /// Encoding cost of the merged root after the merge (Eq. 8's numerator).
     pub cost_after: usize,
+}
+
+/// What a bounded merge evaluation ([`MergeState::evaluate_merge_bounded`]) must
+/// be able to beat for the pair to matter to Algorithm 2's partner search.
+#[derive(Clone, Copy, Debug)]
+pub struct MergeCutoff {
+    /// Saving of the best partner found so far: a pair that cannot exceed it
+    /// cannot replace it (the search keeps the first of equal savings).
+    pub best: Option<f64>,
+    /// The merging threshold `θ(t)`: a pair that cannot reach it is never merged.
+    pub threshold: f64,
+}
+
+impl MergeCutoff {
+    /// No cutoff: every pair is evaluated in full.
+    pub const NONE: MergeCutoff = MergeCutoff {
+        best: None,
+        threshold: f64::NEG_INFINITY,
+    };
+
+    /// Whether a pair whose saving is at most `bound` cannot matter.
+    pub fn excludes(&self, bound: f64) -> bool {
+        bound < self.threshold || self.best.is_some_and(|best| bound <= best)
+    }
 }
 
 /// Outcome of [`MergeEngine::dissolve_partial`].
@@ -934,13 +984,12 @@ impl MergeEngine {
 
     /// Encoding cost attributed to root `A`: `Cost_A(G) = Cost^H_A + Cost^P_A` (Eq. 6).
     pub fn root_cost(&self, root: SupernodeId) -> usize {
-        let meta = &self.roots[&root];
-        meta.h_edges() + meta.pn_incident()
+        self.roots[&root].cost()
     }
 
     /// Number of p/n-edges between the trees of two distinct roots (`Cost^P_{A,B}`).
     pub fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
-        self.roots[&a].adjacency.get(&b).copied().unwrap_or(0) as usize
+        self.roots[&a].adjacency_to(b)
     }
 
     // ------------------------------------------------------------------
@@ -957,13 +1006,14 @@ impl MergeEngine {
         ctx: &mut MergeCtx,
     ) -> MergeEvaluation {
         debug_assert!(self.roots.contains_key(&a) && self.roots.contains_key(&b) && a != b);
-        view::evaluate_merge(self, &mut view::ProbeBlocks, a, b, ctx)
+        view::evaluate_merge(self, &mut view::ProbeBlocks, a, b, ctx, &MergeCutoff::NONE)
+            .expect("an evaluation without cutoff is never skipped")
     }
 
     /// Roots adjacent (through p/n-edges) to both `a`'s and `b`'s trees.
     pub fn common_adjacent_roots(&self, a: SupernodeId, b: SupernodeId) -> Vec<SupernodeId> {
         let mut out = Vec::new();
-        MergeView::common_adjacent_roots_into(self, a, b, &mut out);
+        view::sweep_commons(self, a, b, &mut out);
         out
     }
 
@@ -1194,31 +1244,8 @@ impl MergeView for MergeEngine {
         self.summary.edge_weight(x, y)
     }
 
-    fn root_cost(&self, root: SupernodeId) -> usize {
-        MergeEngine::root_cost(self, root)
-    }
-
-    fn root_height(&self, root: SupernodeId) -> usize {
-        MergeEngine::root_height(self, root)
-    }
-
-    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
-        MergeEngine::edges_between_roots(self, a, b)
-    }
-
-    fn common_adjacent_roots_into(
-        &self,
-        a: SupernodeId,
-        b: SupernodeId,
-        out: &mut Vec<SupernodeId>,
-    ) {
-        view::common_adjacent_roots_from_maps(
-            &self.roots[&a].adjacency,
-            &self.roots[&b].adjacency,
-            a,
-            b,
-            out,
-        );
+    fn root_meta(&self, root: SupernodeId) -> &RootMeta {
+        &self.roots[&root]
     }
 }
 
@@ -1246,6 +1273,26 @@ mod tests {
         assert_eq!(engine.edges_between_roots(0, 1), 1);
         assert_eq!(engine.edges_between_roots(1, 3), 0);
         s.validate().unwrap();
+    }
+
+    /// The skip rule's ties: a bound equal to the best so far cannot replace it
+    /// (the search keeps the first of equal savings), while a bound equal to θ
+    /// can still be merged.
+    #[test]
+    fn cutoff_drops_ties_with_the_best_and_keeps_ties_with_theta() {
+        let cutoff = MergeCutoff {
+            best: Some(0.25),
+            threshold: 0.125,
+        };
+        assert!(cutoff.excludes(0.25));
+        assert!(!cutoff.excludes(0.25f64.next_up()));
+        let unbeaten = MergeCutoff {
+            best: None,
+            ..cutoff
+        };
+        assert!(!unbeaten.excludes(0.125));
+        assert!(unbeaten.excludes(0.125f64.next_down()));
+        assert!(!MergeCutoff::NONE.excludes(f64::NEG_INFINITY));
     }
 
     #[test]

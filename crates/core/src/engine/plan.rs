@@ -51,7 +51,8 @@
 
 use super::view::{self, Block, BlockSource, MergeView};
 use super::{
-    Case2Record, MergeCtx, MergeEngine, MergeEvaluation, MergeState, ResolvedMerge, RootMeta,
+    Case2Record, MergeCtx, MergeCutoff, MergeEngine, MergeEvaluation, MergeState, ResolvedMerge,
+    RootMeta,
 };
 use crate::model::{edge_key, SupernodeId};
 use slugger_graph::hash::FxHashMap;
@@ -519,36 +520,8 @@ impl MergeView for PlanningEngine<'_> {
         }
     }
 
-    fn root_cost(&self, root: SupernodeId) -> usize {
-        let meta = &self.scratch.metas[&root];
-        meta.h_edges() + meta.pn_incident()
-    }
-
-    fn root_height(&self, root: SupernodeId) -> usize {
-        self.scratch.metas[&root].height
-    }
-
-    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
-        self.scratch.metas[&a]
-            .adjacency
-            .get(&b)
-            .copied()
-            .unwrap_or(0) as usize
-    }
-
-    fn common_adjacent_roots_into(
-        &self,
-        a: SupernodeId,
-        b: SupernodeId,
-        out: &mut Vec<SupernodeId>,
-    ) {
-        view::common_adjacent_roots_from_maps(
-            &self.scratch.metas[&a].adjacency,
-            &self.scratch.metas[&b].adjacency,
-            a,
-            b,
-            out,
-        );
+    fn root_meta(&self, root: SupernodeId) -> &RootMeta {
+        &self.scratch.metas[&root]
     }
 }
 
@@ -558,18 +531,19 @@ impl MergeState for PlanningEngine<'_> {
     }
 
     fn root_height(&self, root: SupernodeId) -> usize {
-        MergeView::root_height(self, root)
+        self.root_meta(root).height
     }
 
-    fn evaluate_merge(
+    fn evaluate_merge_bounded(
         &mut self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
-    ) -> MergeEvaluation {
+        cutoff: &MergeCutoff,
+    ) -> Option<MergeEvaluation> {
         // Taken out for the call so the view can be borrowed alongside it.
         let mut blocks = std::mem::take(&mut self.scratch.blocks);
-        let eval = view::evaluate_merge(&*self, &mut blocks, a, b, ctx);
+        let eval = view::evaluate_merge(&*self, &mut blocks, a, b, ctx, cutoff);
         self.scratch.blocks = blocks;
         eval
     }
@@ -635,14 +609,11 @@ mod tests {
         // And apply it; the overlay's root cost must match the engine's.
         let em2 = engine.apply_merge(em, 4, &mut ctx);
         let om2 = overlay.merge(om, 4, &mut ctx);
-        assert_eq!(engine.root_cost(em2), MergeView::root_cost(&overlay, om2));
-        assert_eq!(
-            engine.root_height(em2),
-            MergeView::root_height(&overlay, om2)
-        );
+        assert_eq!(engine.root_cost(em2), overlay.root_meta(om2).cost());
+        assert_eq!(engine.root_height(em2), overlay.root_meta(om2).height);
         assert_eq!(
             engine.edges_between_roots(em2, 0),
-            MergeView::edges_between_roots(&overlay, om2, 0)
+            overlay.root_meta(om2).adjacency_to(0)
         );
     }
 
@@ -786,7 +757,7 @@ mod tests {
         let ma = a.merge(2, 3, &mut ctx);
         let mb = b.merge(2, 3, &mut ctx);
         assert_eq!(ma, mb);
-        assert_eq!(MergeView::root_cost(&a, ma), MergeView::root_cost(&b, mb));
+        assert_eq!(a.root_meta(ma).cost(), b.root_meta(mb).cost());
     }
 
     #[test]

@@ -30,6 +30,18 @@
 //! [`resolve_merge_into`] (the apply path) and, in debug builds, check every
 //! block-built evaluation.
 //!
+//! # Bound-and-skip
+//!
+//! Before any block is read, one sweep of the two roots' adjacency counts
+//! ([`sweep_commons`]) collects the common adjacent roots and counts the old
+//! edges the merge could re-encode; [`saving_upper_bound`] turns that count into
+//! a bit-exact upper bound on the saving.  [`evaluate_merge`] returns `None`
+//! without building a panel when the caller's
+//! [`MergeCutoff`](super::MergeCutoff) excludes the bound, so blocks and memo
+//! solves run only for pairs that could still win (see [`crate::merge`]).  The
+//! sweep is the one the full evaluation needs for its Case-2 partners anyway,
+//! which is why the bound costs a survivor almost nothing.
+//!
 //! # Allocation discipline
 //!
 //! The problem builders are engineered to perform **no heap allocation per
@@ -45,7 +57,7 @@
 //!   [`MergeCtx`](super::MergeCtx) scratch, as are the Case-2 records a merge
 //!   application accumulates.
 
-use super::{Case2Record, MergeCtx, MergeEvaluation, ResolvedMerge};
+use super::{Case2Record, MergeCtx, MergeCutoff, MergeEvaluation, ResolvedMerge, RootMeta};
 use crate::encoder::{
     pair_index, panel, Case1Problem, Case1Shape, Case2Problem, Case2Shape, EncoderMemo,
 };
@@ -67,21 +79,8 @@ pub(crate) trait MergeView {
     fn parent_of(&self, id: SupernodeId) -> Option<SupernodeId>;
     /// Signed p/n-edge weight between two supernodes (0 = no edge).
     fn edge_weight(&self, x: SupernodeId, y: SupernodeId) -> i32;
-    /// `Cost_A(G) = Cost^H_A + Cost^P_A` (Eq. 6) for a root.
-    fn root_cost(&self, root: SupernodeId) -> usize;
-    /// Height of the tree rooted at `root`.
-    fn root_height(&self, root: SupernodeId) -> usize;
-    /// Number of p/n-edges between two distinct roots (`Cost^P_{A,B}`).
-    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize;
-    /// Fills `out` with the roots adjacent (through p/n-edges) to both `a`'s and
-    /// `b`'s trees, clearing it first.  Buffer-filling (rather than returning a
-    /// `Vec`) so the hot path can reuse one allocation across evaluations.
-    fn common_adjacent_roots_into(
-        &self,
-        a: SupernodeId,
-        b: SupernodeId,
-        out: &mut Vec<SupernodeId>,
-    );
+    /// A root's metadata: tree size, height and adjacency counts.
+    fn root_meta(&self, root: SupernodeId) -> &RootMeta;
 }
 
 /// A fixed-capacity inline vector for the constant-size panel data of the hot path
@@ -442,10 +441,10 @@ pub(crate) fn resolve_merge_into<V: MergeView + ?Sized>(
 ) -> ResolvedMerge {
     let (_, a_kids) = side_panel(view, a);
     let (_, b_kids) = side_panel(view, b);
-    let cross_ab = view.edges_between_roots(a, b) as u32;
+    let cross_ab = view.root_meta(a).adjacency_to(b) as u32;
     let (problem1, old1) = case1_problem(view, a, b);
     let sol1 = memo.case1(&problem1);
-    view.common_adjacent_roots_into(a, b, commons);
+    sweep_commons(view, a, b, commons);
     let case2_start = case2.len();
     let yellow = case2_yellow(view, a, b);
     for &c in commons.iter() {
@@ -520,29 +519,44 @@ pub(crate) fn replay_reencodings<S: PnEdgeSink + ?Sized>(
     }
 }
 
-/// Fills `out` with the keys present in both adjacency maps, excluding the merged
-/// roots themselves — the Case-2 partner set.  Probes the larger map with the
-/// smaller one's keys; shared by the engine's and the overlay's
-/// [`MergeView::common_adjacent_roots_into`] so the partner rule lives in one place.
-pub(crate) fn common_adjacent_roots_from_maps(
-    adj_a: &slugger_graph::hash::FxHashMap<SupernodeId, u32>,
-    adj_b: &slugger_graph::hash::FxHashMap<SupernodeId, u32>,
+/// One sweep over the adjacency counts of roots `a` and `b`: fills `commons`
+/// with the roots adjacent to both trees, excluding the pair itself (the Case-2
+/// partner set), and returns the number of p/n-edges a merge of the two may
+/// re-encode:
+///
+/// `S = adj_a[a] + adj_b[b] + adj_a[b] + Σ_{c ∈ commons} (adj_a[c] + adj_b[c])`.
+///
+/// Every old Case-1 panel edge lies within or between the two trees and every
+/// old Case-2 panel edge between one of them and a common root, so `S` bounds
+/// the old edges the merge's re-encodings drop.  Probes the larger map with the
+/// smaller one's keys.  Shared by merge evaluation, which needs `S` for its
+/// bound, and merge resolution, which needs only `commons`: collecting the
+/// partners and summing their counts in one pass is what keeps the bound cheap
+/// (a separate pass over the commons costs more than the bound saves).
+pub(crate) fn sweep_commons<V: MergeView + ?Sized>(
+    view: &V,
     a: SupernodeId,
     b: SupernodeId,
-    out: &mut Vec<SupernodeId>,
-) {
-    out.clear();
-    let (small, large) = if adj_a.len() <= adj_b.len() {
-        (adj_a, adj_b)
+    commons: &mut Vec<SupernodeId>,
+) -> usize {
+    let (meta_a, meta_b) = (view.root_meta(a), view.root_meta(b));
+    let mut reencodable = meta_a.adjacency_to(a) + meta_b.adjacency_to(b) + meta_a.adjacency_to(b);
+    commons.clear();
+    let (small, large) = if meta_a.adjacency.len() <= meta_b.adjacency.len() {
+        (&meta_a.adjacency, &meta_b.adjacency)
     } else {
-        (adj_b, adj_a)
+        (&meta_b.adjacency, &meta_a.adjacency)
     };
-    out.extend(
-        small
-            .keys()
-            .copied()
-            .filter(|&r| r != a && r != b && large.contains_key(&r)),
-    );
+    for (&r, &n) in small {
+        if r == a || r == b {
+            continue;
+        }
+        if let Some(&m) = large.get(&r) {
+            commons.push(r);
+            reencodable += (n + m) as usize;
+        }
+    }
+    reencodable
 }
 
 /// The p/n-edges between the panels of two roots `x` and `c`, probed once and
@@ -714,26 +728,72 @@ fn case2_from_blocks(
     (Case2Problem { shape, required }, old)
 }
 
-/// Evaluates `Saving(A, B, G)` (Eq. 8) against any [`MergeView`] without mutating
-/// it, reading the panel edges through `blocks`.
+/// `Saving(A, B, G)` (Eq. 8) of a merge taking the pair's cost from
+/// `cost_before` to `cost_after` (`−∞` for a cost-free pair).  The evaluation
+/// and its upper bound both go through this one `f64` expression: it is
+/// monotone in `cost_after`, so a bound on `cost_after` gives a bound on the
+/// saving that holds bit-exactly.
+#[inline]
+fn saving_of(cost_before: usize, cost_after: usize) -> f64 {
+    if cost_before == 0 {
+        f64::NEG_INFINITY
+    } else {
+        1.0 - cost_after as f64 / cost_before as f64
+    }
+}
+
+/// The upper bound on `Saving(A, B, G)` of a pair costing `cost_before` whose
+/// merge may re-encode `reencodable` old edges (see [`sweep_commons`]).
 ///
-/// The Case-1 problem comes from the two intra blocks plus the `a`–`b` cross
-/// block (skipped when the trees share no edge), each Case-2 problem from the
-/// `(a, c)` and `(b, c)` cross blocks.  Debug builds check every problem against
-/// the probe builders [`case1_problem`] / [`case2_problem`].
+/// A merge adds 2 hierarchy edges, drops at most `reencodable` old panel edges
+/// and adds back a non-negative number of solved ones, so
+/// `cost_after ≥ max(0, cost_before + 2 − reencodable)`.
+///
+/// Do not tighten this to "every non-empty panel re-encodes to at least one
+/// edge": a panel's p- and n-edges can cancel to an all-zero requirement that
+/// re-encodes to no edge, and that variant was measured to overshoot real
+/// savings on the LJ stand-in and on caveman graphs.
+#[inline]
+pub(crate) fn saving_upper_bound(cost_before: usize, reencodable: usize) -> f64 {
+    let least_after = (cost_before as i64 + 2 - reencodable as i64).max(0) as usize;
+    saving_of(cost_before, least_after)
+}
+
+/// Evaluates `Saving(A, B, G)` (Eq. 8) against any [`MergeView`] without mutating
+/// it, reading the panel edges through `blocks` — or returns `None` when the
+/// pair's saving provably cannot clear `cutoff`.
+///
+/// One sweep of the two roots' adjacency counts ([`sweep_commons`]) yields both
+/// the common adjacent roots and the bound [`saving_upper_bound`]; a pair whose
+/// bound `cutoff` excludes is skipped before any block is read or any panel is
+/// solved.  Otherwise the Case-1 problem comes from the two intra blocks plus
+/// the `a`–`b` cross block (skipped when the trees share no edge), each Case-2
+/// problem from the `(a, c)` and `(b, c)` cross blocks.  Debug builds check
+/// every problem against the probe builders [`case1_problem`] /
+/// [`case2_problem`], and the saving against its bound.
 pub(crate) fn evaluate_merge<V: MergeView + ?Sized, B: BlockSource>(
     view: &V,
     blocks: &mut B,
     a: SupernodeId,
     b: SupernodeId,
     ctx: &mut MergeCtx,
-) -> MergeEvaluation {
+    cutoff: &MergeCutoff,
+) -> Option<MergeEvaluation> {
     debug_assert!(view.is_root(a) && view.is_root(b) && a != b);
     let MergeCtx { memo, scratch } = ctx;
-    let cost_a = view.root_cost(a);
-    let cost_b = view.root_cost(b);
-    let cross = view.edges_between_roots(a, b);
-    let cost_before = cost_a + cost_b - cross;
+    let (meta_a, meta_b) = (view.root_meta(a), view.root_meta(b));
+    let cross = meta_a.adjacency_to(b);
+    let cost_before = meta_a.cost() + meta_b.cost() - cross;
+
+    // Case 2 re-encodes only roots adjacent to both sides: for roots adjacent to
+    // exactly one side the existing encoding remains optimal within the panel, so
+    // the re-encoding is skipped both here and during application (keeping the two
+    // paths consistent is what makes the evaluation exact).
+    let reencodable = sweep_commons(view, a, b, &mut scratch.commons);
+    let bound = saving_upper_bound(cost_before, reencodable);
+    if cutoff.excludes(bound) {
+        return None;
+    }
 
     // Case 1.
     let aa = blocks.block(view, a, a);
@@ -755,13 +815,8 @@ pub(crate) fn evaluate_merge<V: MergeView + ?Sized, B: BlockSource>(
     let sol1 = memo.case1(&problem1);
     let mut delta = sol1.cost as i64 - old1 as i64;
 
-    // Case 2, only for roots adjacent to both sides: for roots adjacent to exactly
-    // one side the existing encoding remains optimal within the panel, so the
-    // re-encoding is skipped both here and during application (keeping the two paths
-    // consistent is what makes the evaluation exact).  A common root without panel
-    // edges to either side has an all-zero problem, solved by no edges: it
-    // contributes nothing and is skipped.
-    view.common_adjacent_roots_into(a, b, &mut scratch.commons);
+    // Case 2.  A common root without panel edges to either side has an all-zero
+    // problem, solved by no edges: it contributes nothing and is skipped.
     let yellow = cfg!(debug_assertions).then(|| case2_yellow(view, a, b));
     for &c in scratch.commons.iter() {
         let ac = blocks.block(view, a, c);
@@ -788,14 +843,99 @@ pub(crate) fn evaluate_merge<V: MergeView + ?Sized, B: BlockSource>(
 
     // +2 hierarchy edges for attaching A and B below the new root.
     let cost_after = (cost_before as i64 + 2 + delta).max(0) as usize;
-    let saving = if cost_before == 0 {
-        f64::NEG_INFINITY
-    } else {
-        1.0 - cost_after as f64 / cost_before as f64
-    };
-    MergeEvaluation {
+    let saving = saving_of(cost_before, cost_after);
+    debug_assert!(
+        saving <= bound,
+        "saving {saving} of ({a}, {b}) exceeds its bound {bound}"
+    );
+    Some(MergeEvaluation {
         saving,
         cost_before,
         cost_after,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::MergeEngine;
+    use crate::incremental::{IncrementalConfig, IncrementalSummarizer};
+    use crate::{Slugger, SluggerConfig};
+    use slugger_graph::gen::{caveman, rmat, CavemanConfig, RmatConfig};
+    use slugger_graph::stream::{stream_batches, StreamConfig};
+    use slugger_graph::Graph;
+
+    /// The engine over a stream's maintained summary after several batches:
+    /// pruned, so it carries n-edges and roots of every arity.
+    fn streamed_engine(target: &Graph) -> MergeEngine {
+        let (initial, batches) = stream_batches(
+            target,
+            &StreamConfig {
+                initial_fraction: 0.7,
+                num_batches: 4,
+                churn: 0.25,
+                seed: 3,
+            },
+        );
+        let slugger = Slugger::new(SluggerConfig {
+            iterations: 5,
+            ..SluggerConfig::default()
+        });
+        let mut stream =
+            IncrementalSummarizer::bootstrap(&initial, &slugger, IncrementalConfig::default());
+        for delta in &batches {
+            stream.resummarize(delta);
+        }
+        MergeEngine::from_summary(stream.summary().clone())
+    }
+
+    /// Asserts `saving ≤ UB` for every pair of live roots of a streamed engine;
+    /// returns the engine's n-edge count and number of roots of arity > 2.
+    fn assert_bound_is_sound(name: &str, target: &Graph) -> (usize, usize) {
+        let engine = streamed_engine(target);
+        let roots = engine.roots();
+        let mut ctx = MergeCtx::new();
+        let mut commons = Vec::new();
+        for (i, &a) in roots.iter().enumerate() {
+            for &b in &roots[i + 1..] {
+                let eval = engine.evaluate_merge(a, b, &mut ctx);
+                let bound = saving_upper_bound(
+                    eval.cost_before,
+                    sweep_commons(&engine, a, b, &mut commons),
+                );
+                assert!(
+                    eval.saving <= bound,
+                    "{name}: saving {} of ({a}, {b}) exceeds its bound {bound}",
+                    eval.saving
+                );
+            }
+        }
+        let summary = engine.summary();
+        let wide = roots
+            .iter()
+            .filter(|&&r| summary.children(r).len() > 2)
+            .count();
+        (summary.num_n_edges(), wide)
+    }
+
+    #[test]
+    fn saving_bound_is_sound_on_pruned_signed_hierarchies() {
+        let caveman = caveman(&CavemanConfig {
+            num_nodes: 300,
+            num_cliques: 40,
+            ..CavemanConfig::default()
+        });
+        let rmat = rmat(&RmatConfig {
+            scale: 9,
+            num_edges: 2_000,
+            ..RmatConfig::default()
+        });
+        // The shapes the bound must survive: n-edges that cancel p-edges within
+        // a panel, and opaque roots of arity > 2.
+        for (name, graph) in [("caveman", &caveman), ("rmat", &rmat)] {
+            let (n_edges, wide_roots) = assert_bound_is_sound(name, graph);
+            assert!(n_edges > 0, "{name}: no n-edges");
+            assert!(wide_roots > 0, "{name}: no root of arity > 2");
+        }
     }
 }

@@ -206,8 +206,11 @@ pub struct BatchReport {
     /// Roots whose cached shingle signatures the candidate index served without
     /// re-hashing, summed over the pipeline passes.
     pub cached_roots: usize,
-    /// Candidate pairs evaluated by the per-batch pipeline passes.
+    /// Candidate pairs the per-batch pipeline passes' partner searches considered.
     pub pairs_evaluated: usize,
+    /// Considered pairs skipped without a full evaluation because their saving
+    /// provably could not win (see [`crate::merge`]).
+    pub pairs_bounded_out: usize,
     /// Merges performed by the per-batch pipeline passes.
     pub merges: usize,
     /// Panel blocks the passes' planning overlays probed (per-set cache misses).
@@ -661,6 +664,7 @@ impl IncrementalSummarizer {
             );
             report.stages.apply += apply_start.elapsed();
             report.pairs_evaluated += stats.evaluated;
+            report.pairs_bounded_out += stats.bounded_out;
             report.merges += stats.merged;
             report.panel_blocks_built += stats.panel_blocks_built;
             report.panel_blocks_served += stats.panel_blocks_served;

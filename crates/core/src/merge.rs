@@ -1,9 +1,21 @@
 //! The merging step (Algorithm 2): within each candidate set, repeatedly pick a random
 //! root `A`, find the partner `B` maximizing `Saving(A, B, G)` (Eq. 8), and merge the
 //! pair when the saving clears the iteration threshold `θ(t)` (Eq. 9).
+//!
+//! # Bound-and-skip
+//!
+//! Only the argmax matters, and only if it reaches `θ(t)`.  The partner search
+//! therefore passes its current best saving and the threshold down as a
+//! [`MergeCutoff`]: the evaluation first bounds the pair's saving from its two
+//! roots' adjacency counts and skips the pair — no panel read, no Case-1/Case-2
+//! solve — when the bound cannot beat the best so far (the search keeps the first
+//! of equal savings) or cannot reach `θ(t)`.  The bound holds bit-exactly, so the
+//! first-position argmax is never skipped, every `θ(t)` decision is unchanged and
+//! the RNG stream is untouched: plans are identical to evaluating every pair,
+//! which `testsupport::reference_plan_candidate_set` still does as the oracle.
 
 use crate::engine::apply::{MergeRef, PlannedMerge};
-use crate::engine::{MergeCtx, MergeEngine, MergeState};
+use crate::engine::{MergeCtx, MergeCutoff, MergeEngine, MergeState};
 use crate::model::SupernodeId;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -23,8 +35,12 @@ pub fn merging_threshold(iteration: usize, total_iterations: usize) -> f64 {
 /// Statistics of one merging pass over a single candidate set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Number of candidate pairs whose saving was evaluated.
+    /// Number of candidate pairs considered as pivot–partner pairs (live roots
+    /// within the height bound), whether evaluated in full or bounded out.
     pub evaluated: usize,
+    /// Considered pairs skipped because an upper bound on their saving showed
+    /// they could not beat the best partner so far or reach `θ(t)`.
+    pub bounded_out: usize,
     /// Number of merges performed.
     pub merged: usize,
     /// Panel blocks the planning overlay probed from the edge map (see
@@ -39,6 +55,7 @@ impl MergeStats {
     /// Accumulates another batch of statistics.
     pub fn absorb(&mut self, other: MergeStats) {
         self.evaluated += other.evaluated;
+        self.bounded_out += other.bounded_out;
         self.merged += other.merged;
         self.panel_blocks_built += other.panel_blocks_built;
         self.panel_blocks_served += other.panel_blocks_served;
@@ -58,7 +75,8 @@ pub struct MergeOptions {
 /// Plans one candidate set `D` (Algorithm 2): merges greedily until every root has
 /// been considered once as the pivot `A`, recording each merge as a
 /// [`PlannedMerge`] so the sequence can be replayed on the authoritative engine by
-/// the [`crate::engine::apply`] reconciliation layer.
+/// the [`crate::engine::apply`] reconciliation layer.  Partners that provably
+/// cannot win are bounded out rather than evaluated (see the module docs).
 ///
 /// The merges *are applied* to the given [`MergeState`] — in the sharded pipeline
 /// that is a per-set copy-on-write overlay over the frozen iteration view; planning
@@ -108,13 +126,16 @@ pub fn plan_candidate_set<E: MergeState>(
                     continue;
                 }
             }
-            let eval = engine.evaluate_merge(a, z, ctx);
             stats.evaluated += 1;
-            let better = match best {
-                None => true,
-                Some((_, s)) => eval.saving > s,
+            let cutoff = MergeCutoff {
+                best: best.map(|(_, s)| s),
+                threshold: options.threshold,
             };
-            if better {
+            let Some(eval) = engine.evaluate_merge_bounded(a, z, ctx, &cutoff) else {
+                stats.bounded_out += 1;
+                continue;
+            };
+            if best.is_none_or(|(_, s)| eval.saving > s) {
                 best = Some((pos, eval.saving));
             }
         }

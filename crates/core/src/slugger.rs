@@ -92,8 +92,11 @@ pub struct IterationRecord {
     pub threshold: f64,
     /// Candidate sets processed.
     pub candidate_sets: usize,
-    /// Candidate pairs evaluated.
+    /// Candidate pairs considered by the partner search.
     pub pairs_evaluated: usize,
+    /// Considered pairs skipped without a full evaluation: an upper bound on
+    /// their saving showed they could not win (see [`crate::merge`]).
+    pub pairs_bounded_out: usize,
     /// Merges performed.
     pub merges: usize,
     /// Panel blocks probed by the planning overlays (per-set cache misses).
@@ -284,6 +287,7 @@ impl Slugger {
                 threshold,
                 candidate_sets: sets.len(),
                 pairs_evaluated: stats.evaluated,
+                pairs_bounded_out: stats.bounded_out,
                 merges: stats.merged,
                 panel_blocks_built: stats.panel_blocks_built,
                 panel_blocks_served: stats.panel_blocks_served,

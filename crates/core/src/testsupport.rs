@@ -6,18 +6,23 @@
 //! the candidate-stage pins (`candidate_determinism`, `candidate_index`,
 //! `scenario_matrix`) all compare against the same naive candidate oracle
 //! ([`reference_candidate_sets`], checked against a live stream by
-//! [`assert_oracle`]).  This module is that machinery's single home; it ships in the library (not
+//! [`assert_oracle`]).  The bounded merge planner is held to the unbounded
+//! partner search ([`reference_plan_candidate_set`]).  This module is that
+//! machinery's single home; it ships in the library (not
 //! `#[cfg(test)]`) so integration tests *and* downstream crates' tests can use
 //! it, but it is documented as test support and carries no stability promise
 //! beyond what the tests themselves pin.
 
 use crate::candidates::{random_split, CandidateConfig};
+use crate::engine::apply::{MergeRef, PlannedMerge};
+use crate::engine::{MergeCtx, MergeState};
 use crate::incremental::{pass_shingle_seed, IncrementalSummarizer};
+use crate::merge::{MergeOptions, MergeStats};
 use crate::model::{HierarchicalSummary, SupernodeId};
 use crate::pipeline::Parallelism;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use slugger_graph::hash::hash_node_with_seed;
+use rand::{RngExt, SeedableRng};
+use slugger_graph::hash::{hash_node_with_seed, FxHashMap};
 use slugger_graph::{Graph, NodeId};
 
 /// One arena slot of the canonical form: `(parent, children, members, alive)`.
@@ -222,6 +227,68 @@ pub fn assert_oracle(inc: &mut IncrementalSummarizer, context: &str) {
             );
         }
     }
+}
+
+/// The unbounded partner search: Algorithm 2 over one candidate set exactly as
+/// [`plan_candidate_set`](crate::merge::plan_candidate_set) plans it, except that
+/// every considered pair is evaluated in full through
+/// [`MergeState::evaluate_merge`] — no bound, no skip, fresh allocations.  It is
+/// the oracle `tests/bounded_planning.rs` holds the bounded production loop to:
+/// identical plans, `merged` and `evaluated` (its `bounded_out` is always 0).
+pub fn reference_plan_candidate_set<E: MergeState>(
+    engine: &mut E,
+    ctx: &mut MergeCtx,
+    candidate_set: &[SupernodeId],
+    options: &MergeOptions,
+    rng: &mut StdRng,
+) -> (Vec<PlannedMerge>, MergeStats) {
+    let mut stats = MergeStats::default();
+    let mut merges = Vec::new();
+    let mut planned_ids: FxHashMap<SupernodeId, usize> = FxHashMap::default();
+    let mut queue: Vec<SupernodeId> = candidate_set
+        .iter()
+        .copied()
+        .filter(|&r| engine.is_root(r))
+        .collect();
+    while queue.len() > 1 {
+        let a = queue.swap_remove(rng.random_range(0..queue.len()));
+        if !engine.is_root(a) {
+            continue;
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (pos, &z) in queue.iter().enumerate() {
+            if z == a || !engine.is_root(z) {
+                continue;
+            }
+            if let Some(bound) = options.height_bound {
+                if engine.root_height(a).max(engine.root_height(z)) + 1 > bound {
+                    continue;
+                }
+            }
+            let saving = engine.evaluate_merge(a, z, ctx).saving;
+            stats.evaluated += 1;
+            if best.is_none_or(|(_, s)| saving > s) {
+                best = Some((pos, saving));
+            }
+        }
+        let Some((pos, saving)) = best else { continue };
+        if saving >= options.threshold {
+            let b = queue[pos];
+            let as_ref = |id: SupernodeId| match planned_ids.get(&id) {
+                Some(&i) => MergeRef::Planned(i),
+                None => MergeRef::Root(id),
+            };
+            merges.push(PlannedMerge {
+                a: as_ref(a),
+                b: as_ref(b),
+            });
+            let merged = engine.apply_merge(a, b, ctx);
+            planned_ids.insert(merged, merges.len() - 1);
+            stats.merged += 1;
+            queue[pos] = merged;
+        }
+    }
+    (merges, stats)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Golden outputs of the merge planner: encoding cost, pairs evaluated and merges
-//! of fixed batch and streaming runs, pinned to recorded numbers.
+//! Golden outputs of the merge planner: encoding cost, pairs evaluated, merges and
+//! pairs bounded out of fixed batch and streaming runs, pinned to recorded numbers.
 //!
 //! The invariance suites compare settings against each other (thread counts,
 //! shard counts, scenarios), so a planner change that alters results the same
@@ -30,27 +30,29 @@ fn rmat_graph() -> Graph {
     })
 }
 
-/// (encoding cost, Σ pairs evaluated, Σ merges) of a batch summarize.
-fn batch_numbers(graph: &Graph) -> (usize, usize, usize) {
+/// (encoding cost, Σ pairs evaluated, Σ merges, Σ pairs bounded out) of a batch
+/// summarize.
+fn batch_numbers(graph: &Graph) -> (usize, usize, usize, usize) {
     let outcome = slugger().summarize(graph);
     verify_lossless(&outcome.summary, graph).unwrap();
     let pairs = outcome.iterations.iter().map(|r| r.pairs_evaluated).sum();
     let merges = outcome.iterations.iter().map(|r| r.merges).sum();
-    (outcome.metrics.cost, pairs, merges)
+    let bounded_out = outcome.iterations.iter().map(|r| r.pairs_bounded_out).sum();
+    (outcome.metrics.cost, pairs, merges, bounded_out)
 }
 
 #[test]
 fn lj_stand_in_batch_summarize_matches_the_golden_numbers() {
     let graph = dataset(DatasetKey::LJ).generate(0.3);
     assert_eq!((graph.num_nodes(), graph.num_edges()), (4_500, 12_101));
-    assert_eq!(batch_numbers(&graph), (11_420, 39_357, 1_678));
+    assert_eq!(batch_numbers(&graph), (11_420, 39_357, 1_678, 22_802));
 }
 
 #[test]
 fn rmat_batch_summarize_matches_the_golden_numbers() {
     let graph = rmat_graph();
     assert_eq!(graph.num_edges(), 5_259);
-    assert_eq!(batch_numbers(&graph), (5_027, 34_773, 220));
+    assert_eq!(batch_numbers(&graph), (5_027, 34_773, 220, 31_128));
 }
 
 #[test]
@@ -67,15 +69,16 @@ fn rmat_stream_matches_the_golden_numbers() {
     );
     let mut stream =
         IncrementalSummarizer::bootstrap(&initial, &slugger(), IncrementalConfig::default());
-    let (mut pairs, mut merges) = (0, 0);
+    let (mut pairs, mut merges, mut bounded_out) = (0, 0, 0);
     for delta in &batches {
         let report = stream.resummarize(delta);
         pairs += report.pairs_evaluated;
         merges += report.merges;
+        bounded_out += report.pairs_bounded_out;
     }
     verify_lossless(stream.summary(), &target).unwrap();
     assert_eq!(
-        (stream.summary().encoding_cost(), pairs, merges),
-        (5_047, 122_697, 1_165)
+        (stream.summary().encoding_cost(), pairs, merges, bounded_out),
+        (5_047, 122_697, 1_165, 99_384)
     );
 }
