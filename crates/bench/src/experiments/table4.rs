@@ -6,7 +6,7 @@ use crate::experiments::heading;
 use crate::runner::ExperimentScale;
 use crate::table::{fmt_relative, TableWriter};
 use slugger_core::metrics::SummaryMetrics;
-use slugger_core::prune::{prune_step1, prune_step2, prune_step3, DEFAULT_MAX_PAIR_PRODUCT};
+use slugger_core::prune::{prune_step1, prune_step2, prune_step3};
 use slugger_core::{Slugger, SluggerConfig};
 
 /// Runs the experiment and returns the report.
@@ -44,7 +44,7 @@ pub fn run(scale: &ExperimentScale) -> String {
         record(&summary, &mut sizes, &mut heights, &mut depths);
         prune_step2(&mut summary);
         record(&summary, &mut sizes, &mut heights, &mut depths);
-        prune_step3(&mut summary, &graph, DEFAULT_MAX_PAIR_PRODUCT);
+        prune_step3(&mut summary, &graph);
         record(&summary, &mut sizes, &mut heights, &mut depths);
 
         size_table.row(

@@ -107,7 +107,7 @@ use crate::engine::{MergeCtx, MergeEngine};
 use crate::merge::{merging_threshold, MergeOptions};
 use crate::model::{HierarchicalSummary, SupernodeId};
 use crate::pipeline::{plan_shards_pooled, set_rng, Parallelism, PlannerPool, DEFAULT_SHARDS};
-use crate::prune::{prune_all, prune_region, PruneReport, DEFAULT_MAX_PAIR_PRODUCT};
+use crate::prune::{prune_all, prune_region, PruneReport};
 use crate::slugger::{SluggerPlanner, SluggerShardWorker};
 use serde::{Deserialize, Serialize};
 use slugger_graph::stream::{DynamicGraph, GraphDelta};
@@ -427,11 +427,13 @@ impl IncrementalSummarizer {
         self.epoch
     }
 
-    /// A **globally** pruned snapshot of the maintained summary (a clone run
-    /// through [`prune_all`]).  With incremental pruning enabled the maintained
-    /// summary is already region-pruned, so this mostly confirms there is little
-    /// left to prune; with [`IncrementalConfig::prune_rounds`] = 0 it is the only
-    /// way to report pruned costs.  Returns the snapshot and what pruning changed.
+    /// A whole-summary pruned snapshot of the maintained summary: a clone run
+    /// through [`prune_all`] (the region prune over every root) on a bare
+    /// summary, leaving the engine untouched.  With incremental pruning enabled
+    /// the maintained summary is already region-pruned, so this mostly confirms
+    /// there is little left to prune; with [`IncrementalConfig::prune_rounds`] = 0
+    /// it is the only way to report pruned costs.  Returns the snapshot and what
+    /// pruning changed.
     pub fn pruned_summary(&self, rounds: usize) -> (HierarchicalSummary, PruneReport) {
         let mut snapshot = self.engine.summary().clone();
         let graph = self.graph.to_graph();
@@ -695,7 +697,6 @@ impl IncrementalSummarizer {
                 &self.graph,
                 &region,
                 self.config.prune_rounds,
-                DEFAULT_MAX_PAIR_PRODUCT,
             );
         }
         report.prune_elapsed = prune_start.elapsed();
@@ -769,19 +770,12 @@ impl IncrementalSummarizer {
         }
     }
 
-    /// Runs the pruning substeps over **all** current roots, hosted by the engine
-    /// (the maintained summary is pruned in place with exact metadata, exactly as
-    /// the per-batch region prune does — just unrestricted).  Useful before
-    /// persisting a summary through [`crate::storage`].
+    /// Prunes the whole maintained summary in place through [`prune_all`] — the
+    /// per-batch region prune with every root as the region — hosted by the
+    /// engine, so its metadata stays exact.  Useful before persisting a summary
+    /// through [`crate::storage`].
     pub fn prune_now(&mut self, rounds: usize) -> PruneReport {
-        let roots = self.engine.roots();
-        prune_region(
-            &mut self.engine,
-            &self.graph,
-            &roots,
-            rounds,
-            DEFAULT_MAX_PAIR_PRODUCT,
-        )
+        prune_all(&mut self.engine, &self.graph, rounds)
     }
 
     /// Forces arena compaction regardless of the dead-slot ratio; returns the

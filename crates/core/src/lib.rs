@@ -50,8 +50,9 @@
 //! * [`prune`] — the three pruning substeps (Sect. III-B4, Algorithm 3); the final
 //!   pipeline stage.  Generic over [`prune::PruneHost`], so the same substeps run
 //!   on a bare summary (batch path) or through the live engine's bookkeeping
-//!   (streaming path), globally ([`prune::prune_all`]) or region-restricted
-//!   ([`prune::prune_region`]).
+//!   (streaming path).  One implementation, restricted to a set of region roots
+//!   ([`prune::prune_region`]); whole-summary pruning ([`prune::prune_all`]) is
+//!   that region prune over every root.
 //! * [`slugger`] — the top-level driver (Algorithm 1) wiring the stages together.
 //! * [`decode`] — full and partial decompression (Algorithm 4) and losslessness
 //!   verification.

@@ -15,6 +15,23 @@
 //!    (Sect. II-B), and it also clears internal-node edges so further rounds of
 //!    substeps 1–2 can prune more.
 //!
+//! # One implementation, two entry points
+//!
+//! Each substep has one implementation, restricted to a set of *region* roots:
+//! the trees of those roots and the root pairs they form with their
+//! summary-adjacent partners.  [`prune_region`] runs the rounds over a given
+//! region; the incremental re-summarizer ([`crate::incremental`]) calls it after
+//! every delta batch with the batch's dirty roots plus their frontier, so the
+//! per-batch pruning cost is proportional to the dirty region, not to the whole
+//! summary.  [`prune_all`] and the public substeps are the same code with every
+//! root as the region: whole-summary pruning is the region prune over
+//! `roots()`.
+//!
+//! Substep 3 keeps its pair bookkeeping on dense arena-indexed scratch arrays,
+//! so hub-adjacent regions (many partners per root) pay no hash-map costs.  The
+//! original hash-map bookkeeping survives only in this module's tests, as the
+//! byte-identity reference.
+//!
 //! # Hosts: bare summaries and the live engine
 //!
 //! Every substep is generic over a [`PruneHost`] — the mutation surface pruning
@@ -34,20 +51,6 @@
 //! The same substep implementations run against both hosts, so the batch and the
 //! streaming path can never disagree about what pruning means.
 //!
-//! # Region-restricted pruning
-//!
-//! [`prune_region`] re-runs the three substeps only over a set of *region* roots
-//! and the root pairs they form with their summary-adjacent partners.  The
-//! incremental re-summarizer ([`crate::incremental`]) calls it after every delta
-//! batch with the batch's dirty roots plus their frontier, so the per-batch pruning
-//! cost is proportional to the dirty region — not to the whole summary, which is
-//! what a from-scratch [`prune_all`] on a snapshot would cost.
-//!
-//! The region substep 3 keeps its pair bookkeeping on dense arena-indexed scratch
-//! arrays, so hub-adjacent regions (many partners per root) do not pay hash-map
-//! costs over the global sweep's flat tables.  The original hash-map bookkeeping
-//! survives only in this module's tests, as the byte-identity reference.
-//!
 //! All substeps are **content-deterministic**: supernodes are visited in sorted-id
 //! order and each root pair's re-encoding depends only on that pair's edges, so the
 //! result is a pure function of the model's content — never of hash-map layout.
@@ -55,7 +58,6 @@
 //! across `parallelism × shards` settings even with pruning enabled.
 
 use crate::model::{EdgeSign, HierarchicalSummary, SupernodeId};
-use slugger_graph::hash::FxHashMap;
 use slugger_graph::{AdjacencyList, NodeId};
 
 /// Summary of what a pruning pass changed.
@@ -120,44 +122,53 @@ impl PruneHost for HierarchicalSummary {
     }
 }
 
+/// Cap on the subnode pairs `|A| · |B|` substep 3 considers for one root pair:
+/// it guards against enumerating astronomically many subnode pairs for two huge
+/// roots.  Pairs above the cap are skipped (they are never profitable to flatten
+/// in practice).
+const MAX_PAIR_PRODUCT: usize = 4_000_000;
+
+/// Every current root, ascending: the region of whole-summary pruning.
+fn all_roots<H: PruneHost>(host: &H) -> Vec<SupernodeId> {
+    host.summary().roots().collect()
+}
+
 /// Substep 1: removes every alive non-leaf supernode with no incident p/n-edge.
 /// Returns the number of supernodes removed.
 pub fn prune_step1<H: PruneHost>(host: &mut H) -> usize {
-    let mut removed = 0usize;
-    // Pruning a node never makes another node newly edge-free (it has no edges to
-    // move), so a single pass over the arena suffices.
-    for id in 0..host.summary().arena_len() as SupernodeId {
-        let summary = host.summary();
-        if !summary.is_alive(id) || summary.supernode(id).is_leaf() {
-            continue;
-        }
-        if summary.incident_count(id) == 0 {
-            host.prune_supernode(id);
-            removed += 1;
-        }
-    }
-    removed
+    prune_step1_region(host, &mut all_roots(host))
 }
 
-/// Substep 1 restricted to the trees of `region` roots.  When a *root* of the
-/// region is removed, its promoted children are appended to `region` (they are new
-/// region roots for the following substeps).  Returns the number removed.
+/// Substep 1 restricted to the trees of `region` roots (distinct ids).  When a
+/// *root* of the region is removed, its promoted children are appended to
+/// `region` (they are new region roots for the following substeps).  Returns the
+/// number removed.
 fn prune_step1_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>) -> usize {
+    // Only internal nodes are candidates, so leaves are never collected.  The
+    // trees are disjoint, so every node is collected once.
+    let summary = host.summary();
     let mut nodes: Vec<SupernodeId> = Vec::new();
+    let mut stack: Vec<SupernodeId> = Vec::new();
     for &r in region.iter() {
-        if host.summary().is_root(r) {
-            nodes.extend(host.summary().tree_supernodes(r));
+        if summary.is_root(r) && !summary.supernode(r).is_leaf() {
+            stack.push(r);
+        }
+        while let Some(x) = stack.pop() {
+            nodes.push(x);
+            stack.extend(
+                summary
+                    .children(x)
+                    .iter()
+                    .filter(|&&c| !summary.supernode(c).is_leaf()),
+            );
         }
     }
-    // Sorted-id order: the exact visit order `prune_step1` uses, restricted.
+    // Sorted-id order.  Pruning a node never makes another node newly edge-free
+    // (it has no edges to move) nor turns one into a leaf, so one pass suffices.
     nodes.sort_unstable();
-    nodes.dedup();
     let mut removed = 0usize;
     for id in nodes {
         let summary = host.summary();
-        if !summary.is_alive(id) || summary.supernode(id).is_leaf() {
-            continue;
-        }
         if summary.incident_count(id) == 0 {
             if summary.is_root(id) {
                 region.extend_from_slice(summary.children(id));
@@ -173,25 +184,15 @@ fn prune_step1_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>)
 /// single non-loop edge `(A, B)`, pushing that edge down to `A`'s children (flipping
 /// against existing opposite-sign edges).  Returns the number of roots removed.
 pub fn prune_step2<H: PruneHost>(host: &mut H) -> usize {
-    let mut queue: Vec<SupernodeId> = host.summary().roots().collect();
-    prune_step2_queue(host, &mut queue, None)
+    prune_step2_region(host, &mut all_roots(host))
 }
 
-/// Substep 2 restricted to `region` roots; promoted children join `region`.
+/// Substep 2 restricted to `region` roots, as a work loop over a root queue
+/// (LIFO, so a sorted region is processed in descending-id order; promoted
+/// children re-enter the queue).  Promoted children also join `region`, so
+/// callers keep their region root set current.
 fn prune_step2_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>) -> usize {
     let mut queue: Vec<SupernodeId> = region.clone();
-    prune_step2_queue(host, &mut queue, Some(region))
-}
-
-/// The substep-2 work loop over an explicit root queue (LIFO, so the global entry
-/// processes roots in descending-id order — promoted children re-enter the queue
-/// either way).  `region` (when given) collects promoted children so callers can
-/// keep their region root set current.
-fn prune_step2_queue<H: PruneHost>(
-    host: &mut H,
-    queue: &mut Vec<SupernodeId>,
-    mut region: Option<&mut Vec<SupernodeId>>,
-) -> usize {
     let mut removed = 0usize;
     while let Some(a) = queue.pop() {
         let summary = host.summary();
@@ -232,9 +233,7 @@ fn prune_step2_queue<H: PruneHost>(
             // Newly promoted roots may themselves become eligible.
             queue.push(c);
         }
-        if let Some(region) = region.as_deref_mut() {
-            region.extend_from_slice(&children);
-        }
+        region.extend_from_slice(&children);
     }
     removed
 }
@@ -243,62 +242,9 @@ fn prune_step2_queue<H: PruneHost>(
 /// one p/n-edge between their trees, re-encode the subedges between the two member
 /// sets with the flat-model optimum when that is strictly cheaper.  Returns the number
 /// of pairs re-encoded.
-///
-/// `max_pair_product` guards against enumerating astronomically many subnode pairs for
-/// two huge roots; pairs above the limit are skipped (they are never profitable to
-/// flatten in practice).
-pub fn prune_step3<H: PruneHost, G: AdjacencyList>(
-    host: &mut H,
-    graph: &G,
-    max_pair_product: usize,
-) -> usize {
-    let summary = host.summary();
-    // Root of every subnode (for classifying subedges by root pair).
-    let mut root_of_subnode: Vec<SupernodeId> = vec![0; summary.num_subnodes()];
-    let roots: Vec<SupernodeId> = summary.roots().collect();
-    for &r in &roots {
-        for &u in summary.members(r) {
-            root_of_subnode[u as usize] = r;
-        }
-    }
-    // Subedge counts per root pair.
-    let mut subedge_count: FxHashMap<(SupernodeId, SupernodeId), usize> = FxHashMap::default();
-    for u in 0..summary.num_subnodes() as NodeId {
-        for &w in graph.neighbors(u) {
-            if u < w {
-                let key = pair_key(root_of_subnode[u as usize], root_of_subnode[w as usize]);
-                *subedge_count.entry(key).or_insert(0) += 1;
-            }
-        }
-    }
-    // Current p/n-edges per root pair.
-    let mut pn_edges: FxHashMap<(SupernodeId, SupernodeId), Vec<(SupernodeId, SupernodeId)>> =
-        FxHashMap::default();
-    for ((x, y), _) in summary.pn_edges() {
-        let key = pair_key(summary.root_of(x), summary.root_of(y));
-        pn_edges.entry(key).or_default().push((x, y));
-    }
-
-    let mut reencoded = 0usize;
-    for ((root_a, root_b), edges) in pn_edges {
-        let existing = subedge_count
-            .get(&pair_key(root_a, root_b))
-            .copied()
-            .unwrap_or(0);
-        if flatten_pair_if_cheaper(
-            host,
-            graph,
-            root_a,
-            root_b,
-            &edges,
-            existing,
-            Some(&root_of_subnode),
-            max_pair_product,
-        ) {
-            reencoded += 1;
-        }
-    }
-    reencoded
+pub fn prune_step3<H: PruneHost, G: AdjacencyList>(host: &mut H, graph: &G) -> usize {
+    let roots = all_roots(host);
+    prune_step3_region_flat(host, graph, &roots)
 }
 
 /// Root of `x` through a lazy arena-indexed memo (`SupernodeId::MAX` = not yet
@@ -333,25 +279,25 @@ fn memo_root_of(
     }
 }
 
-/// Substep 3 restricted to pairs with at least one root in `region`: each region
-/// root is paired with every root its tree shares a p/n-edge with (its
-/// summary-adjacent partners, and itself for intra-tree edges).  Roots are
+/// Substep 3 restricted to pairs with at least one root in `region` (sorted):
+/// each region root is paired with every root its tree shares a p/n-edge with
+/// (its summary-adjacent partners, and itself for intra-tree edges).  Roots are
 /// visited in ascending order, and an in-region pair is handled at its smaller
 /// root's turn.  All bookkeeping lives on dense arena-indexed scratch: a lazy
 /// leaf/supernode → root memo, a partner → slot array reset via a touched list,
 /// and per-slot edge buckets and subedge counters reused across roots.  Pinned
 /// pair-for-pair identical to the hash-map reference in this module's tests.
 ///
-/// The subedge totals are counted lazily at each root's turn rather than in one
-/// up-front sweep; the graph never changes during the substep, so the totals are
-/// the same — counting pair `(a, b)` fully from `a`'s member adjacency (`u < w`
-/// within the pair itself) is exactly the split-rule total the hash path
-/// pre-computes.
+/// The visit order cannot change the result: the pairs' edge sets are disjoint
+/// and re-encoding one pair touches only edges between its own two trees.  The
+/// subedge totals are counted lazily at each root's turn; the graph never
+/// changes during the substep, and counting pair `(a, b)` fully from `a`'s
+/// member adjacency (`u < w` within the pair itself) counts every subedge
+/// between the two trees once.
 fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
     host: &mut H,
     graph: &G,
     region: &[SupernodeId],
-    max_pair_product: usize,
 ) -> usize {
     let arena_len = host.summary().arena_len();
     let mut node_root: Vec<SupernodeId> = vec![SupernodeId::MAX; arena_len];
@@ -364,6 +310,7 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
     let mut partner_subedges: Vec<usize> = Vec::new();
     let mut partners: Vec<SupernodeId> = Vec::new();
     let mut incident: Vec<SupernodeId> = Vec::new();
+    let mut tree: Vec<SupernodeId> = Vec::new();
     let mut reencoded = 0usize;
     for &a in region {
         if !host.summary().is_root(a) {
@@ -374,8 +321,15 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
         }
         partners_touched.clear();
         let summary = host.summary();
-        // One scan over the tree's incident edges, bucketed by partner root.
-        for x in summary.tree_supernodes(a) {
+        // One depth-first scan over the tree's incident edges, bucketed by
+        // partner root; edge-free nodes are passed over.
+        tree.clear();
+        tree.push(a);
+        while let Some(x) = tree.pop() {
+            tree.extend_from_slice(summary.children(x));
+            if summary.incident_count(x) == 0 {
+                continue;
+            }
             incident.clear();
             incident.extend(summary.incident(x));
             incident.sort_unstable();
@@ -401,9 +355,19 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
                 partner_edges[slot as usize].push((x, y));
             }
         }
-        if partners_touched.is_empty() {
+        // An in-region pair is handled at its smaller root's (earlier) turn.
+        // With no pair left to decide, the member sweep below is skipped.
+        partners.clear();
+        partners.extend(
+            partners_touched
+                .iter()
+                .copied()
+                .filter(|&b| b >= a || region.binary_search(&b).is_err()),
+        );
+        if partners.is_empty() {
             continue;
         }
+        partners.sort_unstable();
         // Full subedge totals for every partner pair, in one sweep over the
         // member adjacency: each subedge once — from `a`'s side for cross pairs,
         // `u < w` within the pair itself.
@@ -418,26 +382,10 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
                 }
             }
         }
-        partners.clear();
-        partners.extend_from_slice(&partners_touched);
-        partners.sort_unstable();
         for &b in &partners {
-            // An in-region pair is handled at its smaller root's (earlier) turn.
-            if b < a && region.binary_search(&b).is_ok() {
-                continue;
-            }
             let slot = partner_slot[b as usize] as usize;
             let existing = partner_subedges[slot];
-            if flatten_pair_if_cheaper(
-                host,
-                graph,
-                a,
-                b,
-                &partner_edges[slot],
-                existing,
-                None,
-                max_pair_product,
-            ) {
+            if flatten_pair_if_cheaper(host, graph, a, b, &partner_edges[slot], existing) {
                 reencoded += 1;
             }
         }
@@ -445,15 +393,11 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
     reencoded
 }
 
-/// The substep-3 decision for one root pair: given the pair's current p/n-edges and
-/// the number of subedges between the two member sets, re-encode flat (sparse
-/// p-edges, or superedge + n-edges) when strictly cheaper.  Shared by the global
-/// and the region-restricted entry so the two can never diverge.
-///
-/// `root_of_subnode` is the global path's precomputed O(1) leaf → root table
-/// (valid throughout substep 3, which never changes tree structure); the region
-/// path passes `None` and subedge collection falls back to parent-chasing.
-#[allow(clippy::too_many_arguments)]
+/// The substep-3 decision for one root pair: given the pair's current p/n-edges
+/// (`edges`) and the number of subedges between the two member sets
+/// (`existing`), re-encode flat (sparse p-edges, or superedge + n-edges) when
+/// strictly cheaper.  Pairs above [`MAX_PAIR_PRODUCT`] are left as they are.
+/// Returns whether the pair was re-encoded.
 fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
     host: &mut H,
     graph: &G,
@@ -461,8 +405,6 @@ fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
     root_b: SupernodeId,
     edges: &[(SupernodeId, SupernodeId)],
     existing: usize,
-    root_of_subnode: Option<&[SupernodeId]>,
-    max_pair_product: usize,
 ) -> bool {
     let summary = host.summary();
     let size_a = summary.members(root_a).len();
@@ -472,7 +414,7 @@ fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
     } else {
         size_a * size_b
     };
-    if total_pairs == 0 || total_pairs > max_pair_product {
+    if total_pairs == 0 || total_pairs > MAX_PAIR_PRODUCT {
         return false;
     }
     let current_cost = edges.len();
@@ -489,14 +431,7 @@ fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
     // ... and re-encode flat.
     if sparse_cost <= dense_cost {
         let mut pairs = Vec::new();
-        collect_subedges_between(
-            host.summary(),
-            graph,
-            root_a,
-            root_b,
-            root_of_subnode,
-            &mut pairs,
-        );
+        collect_subedges_between(host.summary(), graph, root_a, root_b, &mut pairs);
         for (u, v) in pairs {
             host.set_edge(u, v, EdgeSign::Positive);
         }
@@ -512,15 +447,14 @@ fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
 }
 
 /// Collects the subedges of `graph` with one endpoint in each root's member set
-/// (or both endpoints in the same set when `root_a == root_b`).  Uses the
-/// precomputed leaf → root table when the caller has one (the global substep-3
-/// path), otherwise chases parent pointers.
+/// (or both endpoints in the same set when `root_a == root_b`), sweeping the
+/// smaller member set's adjacency and finding each neighbor's root by parent
+/// chasing.  Runs only for a pair that is being re-encoded sparse.
 fn collect_subedges_between<G: AdjacencyList>(
     summary: &HierarchicalSummary,
     graph: &G,
     root_a: SupernodeId,
     root_b: SupernodeId,
-    root_of_subnode: Option<&[SupernodeId]>,
     out: &mut Vec<(NodeId, NodeId)>,
 ) {
     let (iterate, other) = if summary.members(root_a).len() <= summary.members(root_b).len() {
@@ -528,13 +462,9 @@ fn collect_subedges_between<G: AdjacencyList>(
     } else {
         (root_b, root_a)
     };
-    let root_of_leaf = |w: NodeId| match root_of_subnode {
-        Some(table) => table[w as usize],
-        None => summary.root_of(w as SupernodeId),
-    };
     for &u in summary.members(iterate) {
         for &w in graph.neighbors(u) {
-            if root_of_leaf(w) != other {
+            if summary.root_of(w as SupernodeId) != other {
                 continue;
             }
             if root_a == root_b {
@@ -576,37 +506,16 @@ fn collect_missing_pairs_between<G: AdjacencyList>(
     }
 }
 
-#[inline]
-fn pair_key(a: SupernodeId, b: SupernodeId) -> (SupernodeId, SupernodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Runs the full pruning step: `rounds` passes of substeps 1 → 2 → 3 (the paper notes
-/// the substeps "can be repeated a few times"), stopping early once a pass changes
-/// nothing.
+/// Whole-summary pruning: [`prune_region`] with every current root as the
+/// region.  `rounds` passes of substeps 1 → 2 → 3 (the paper notes the substeps
+/// "can be repeated a few times"), stopping early once a pass changes nothing.
 pub fn prune_all<H: PruneHost, G: AdjacencyList>(
     host: &mut H,
     graph: &G,
     rounds: usize,
 ) -> PruneReport {
-    let mut report = PruneReport::default();
-    for _ in 0..rounds {
-        let pass = PruneReport {
-            step1_removed: prune_step1(host),
-            step2_removed: prune_step2(host),
-            step3_reencoded: prune_step3(host, graph, DEFAULT_MAX_PAIR_PRODUCT),
-        };
-        let changed = pass.total_changes() > 0;
-        report.absorb(pass);
-        if !changed {
-            break;
-        }
-    }
-    report
+    let roots = all_roots(host);
+    prune_region(host, graph, &roots, rounds)
 }
 
 /// Region-restricted pruning: `rounds` passes of substeps 1 → 2 → 3 over the trees
@@ -624,10 +533,9 @@ pub fn prune_region<H: PruneHost, G: AdjacencyList>(
     graph: &G,
     region: &[SupernodeId],
     rounds: usize,
-    max_pair_product: usize,
 ) -> PruneReport {
     prune_region_rounds(host, region, rounds, |host, region| {
-        prune_step3_region_flat(host, graph, region, max_pair_product)
+        prune_step3_region_flat(host, graph, region)
     })
 }
 
@@ -672,17 +580,23 @@ fn prune_region_rounds<H: PruneHost>(
     report
 }
 
-/// Default cap on `|A| · |B|` for substep 3 (see [`prune_step3`]).
-pub const DEFAULT_MAX_PAIR_PRODUCT: usize = 4_000_000;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::verify_lossless;
     use crate::engine::MergeCtx;
     use crate::engine::MergeEngine;
-    use slugger_graph::hash::FxHashSet;
+    use slugger_graph::hash::{FxHashMap, FxHashSet};
     use slugger_graph::Graph;
+
+    #[inline]
+    fn pair_key(a: SupernodeId, b: SupernodeId) -> (SupernodeId, SupernodeId) {
+        if a <= b {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
 
     /// The original hash-map bookkeeping of the region-restricted substep 3, kept
     /// as the reference [`prune_step3_region_flat`] must match pair for pair.
@@ -690,7 +604,6 @@ mod tests {
         host: &mut H,
         graph: &G,
         region: &[SupernodeId],
-        max_pair_product: usize,
     ) -> usize {
         // Subedge counts for every pair a region root participates in, from ONE
         // sweep over the region's leaf adjacency (graph side — immutable during
@@ -757,16 +670,7 @@ mod tests {
                 }
                 let edges = &by_partner[&b];
                 let existing = subedge_count.get(&key).copied().unwrap_or(0);
-                if flatten_pair_if_cheaper(
-                    host,
-                    graph,
-                    a,
-                    b,
-                    edges,
-                    existing,
-                    None,
-                    max_pair_product,
-                ) {
+                if flatten_pair_if_cheaper(host, graph, a, b, edges, existing) {
                     reencoded += 1;
                 }
             }
@@ -858,7 +762,7 @@ mod tests {
         s.set_edge(1, 3, EdgeSign::Negative);
         verify_lossless(&s, &graph).unwrap();
         let before = s.num_p_edges() + s.num_n_edges();
-        let changed = prune_step3(&mut s, &graph, DEFAULT_MAX_PAIR_PRODUCT);
+        let changed = prune_step3(&mut s, &graph);
         assert_eq!(changed, 1);
         let after = s.num_p_edges() + s.num_n_edges();
         assert!(after < before, "{after} !< {before}");
@@ -880,7 +784,7 @@ mod tests {
         s.set_edge(0, 3, EdgeSign::Positive);
         s.set_edge(1, 2, EdgeSign::Positive);
         verify_lossless(&s, &graph).unwrap();
-        let changed = prune_step3(&mut s, &graph, DEFAULT_MAX_PAIR_PRODUCT);
+        let changed = prune_step3(&mut s, &graph);
         // Sparse cost (3) == current cost (3): nothing to do; dense cost is 2 via
         // superedge + n-edge, which IS cheaper, so the pair must be re-encoded.
         assert_eq!(changed, 1);
@@ -889,10 +793,9 @@ mod tests {
         verify_lossless(&s, &graph).unwrap();
     }
 
-    #[test]
-    fn full_pruning_preserves_losslessness_after_real_merges() {
-        // Run real merges through the engine, then prune, and confirm the decoded
-        // graph never changes.
+    /// Eight nodes, two of them hubs over a merged 4-node tree: real engine
+    /// merges leave internal nodes and edges for every substep to act on.
+    fn hub_fixture() -> (Graph, MergeEngine) {
         let graph = Graph::from_edges(
             8,
             vec![
@@ -914,6 +817,37 @@ mod tests {
         let m1 = engine.apply_merge(2, 3, &mut ctx);
         let m2 = engine.apply_merge(4, 5, &mut ctx);
         let _m3 = engine.apply_merge(m1, m2, &mut ctx);
+        (graph, engine)
+    }
+
+    /// Caveman-120 after 40 deterministic merges, which pile up hierarchical
+    /// (often wasteful) encodings.
+    fn caveman_fixture() -> (Graph, MergeEngine) {
+        use slugger_graph::gen::{caveman, CavemanConfig};
+        let graph = caveman(&CavemanConfig {
+            num_nodes: 120,
+            num_cliques: 15,
+            min_clique: 5,
+            max_clique: 9,
+            rewire_probability: 0.05,
+            seed: 42,
+        });
+        let mut engine = MergeEngine::new(&graph);
+        let mut ctx = MergeCtx::new();
+        for i in 0..40u32 {
+            let (a, b) = (3 * i % 120, (3 * i + 1) % 120);
+            if engine.summary().is_root(a) && engine.summary().is_root(b) {
+                engine.apply_merge(a, b, &mut ctx);
+            }
+        }
+        (graph, engine)
+    }
+
+    #[test]
+    fn full_pruning_preserves_losslessness_after_real_merges() {
+        // Run real merges through the engine, then prune, and confirm the decoded
+        // graph never changes.
+        let (graph, engine) = hub_fixture();
         let mut summary = engine.into_summary();
         verify_lossless(&summary, &graph).unwrap();
         let report = prune_all(&mut summary, &graph, 3);
@@ -927,49 +861,15 @@ mod tests {
         // The same substeps on the same state must produce the identical summary
         // whether the host is a bare summary or the live engine — and the engine's
         // bookkeeping must stay exact afterwards.
-        let graph = Graph::from_edges(
-            8,
-            vec![
-                (0, 2),
-                (0, 3),
-                (0, 4),
-                (0, 5),
-                (1, 2),
-                (1, 3),
-                (1, 4),
-                (1, 5),
-                (6, 0),
-                (7, 1),
-                (6, 7),
-            ],
-        );
-        let mut engine = MergeEngine::new(&graph);
-        let mut ctx = MergeCtx::new();
-        let m1 = engine.apply_merge(2, 3, &mut ctx);
-        let m2 = engine.apply_merge(4, 5, &mut ctx);
-        let _m3 = engine.apply_merge(m1, m2, &mut ctx);
-        let mut snapshot = engine.summary().clone();
-        let report_summary = prune_all(&mut snapshot, &graph, 3);
-        let report_engine = prune_all(&mut engine, &graph, 3);
-        assert_eq!(report_summary, report_engine);
-        engine.validate().unwrap();
-        verify_lossless(engine.summary(), &graph).unwrap();
-        // Byte-identical arenas and edges.
-        assert_eq!(engine.summary().arena_len(), snapshot.arena_len());
-        for id in 0..snapshot.arena_len() as SupernodeId {
-            assert_eq!(engine.summary().parent(id), snapshot.parent(id));
-            assert_eq!(engine.summary().children(id), snapshot.children(id));
-            assert_eq!(engine.summary().members(id), snapshot.members(id));
-            assert_eq!(engine.summary().is_alive(id), snapshot.is_alive(id));
-        }
-        let mut a: Vec<_> = engine.summary().pn_edges().collect();
-        let mut b: Vec<_> = snapshot.pn_edges().collect();
-        a.sort_unstable_by_key(|&(k, _)| k);
-        b.sort_unstable_by_key(|&(k, _)| k);
-        assert_eq!(a.len(), b.len());
-        for ((ka, sa), (kb, sb)) in a.into_iter().zip(b) {
-            assert_eq!(ka, kb);
-            assert_eq!(sa, sb);
+        for (graph, mut engine) in [hub_fixture(), caveman_fixture()] {
+            let mut snapshot = engine.summary().clone();
+            let report_summary = prune_all(&mut snapshot, &graph, 3);
+            let report_engine = prune_all(&mut engine, &graph, 3);
+            assert!(report_engine.total_changes() > 0, "fixture must prune");
+            assert_eq!(report_summary, report_engine);
+            engine.validate().unwrap();
+            verify_lossless(engine.summary(), &graph).unwrap();
+            assert_summaries_identical(engine.summary(), &snapshot);
         }
     }
 
@@ -992,13 +892,13 @@ mod tests {
         s.set_edge(5, 6, EdgeSign::Negative);
         s.set_edge(5, 7, EdgeSign::Negative);
         verify_lossless(&s, &graph).unwrap();
-        let report = prune_region(&mut s, &graph, &[a], 3, DEFAULT_MAX_PAIR_PRODUCT);
+        let report = prune_region(&mut s, &graph, &[a], 3);
         assert!(report.total_changes() > 0);
         verify_lossless(&s, &graph).unwrap();
         // The (c, d) pair kept its wasteful encoding: the region never reached it.
         assert_eq!(s.edge_sign(c, d), Some(EdgeSign::Positive));
-        // A full prune afterwards cleans it up.
-        let report = prune_region(&mut s, &graph, &[c, d], 3, DEFAULT_MAX_PAIR_PRODUCT);
+        // A region prune of `[c, d]` afterwards cleans it up.
+        let report = prune_region(&mut s, &graph, &[c, d], 3);
         assert!(report.total_changes() > 0);
         assert_eq!(s.edge_sign(c, d), None);
         verify_lossless(&s, &graph).unwrap();
@@ -1023,24 +923,7 @@ mod tests {
 
     #[test]
     fn flat_pair_index_is_byte_identical_to_the_hash_path() {
-        use slugger_graph::gen::{caveman, CavemanConfig};
-        let graph = caveman(&CavemanConfig {
-            num_nodes: 120,
-            num_cliques: 15,
-            min_clique: 5,
-            max_clique: 9,
-            rewire_probability: 0.05,
-            seed: 42,
-        });
-        let mut engine = MergeEngine::new(&graph);
-        let mut ctx = MergeCtx::new();
-        // Deterministic merges to pile up hierarchical (often wasteful) encodings.
-        for i in 0..40u32 {
-            let (a, b) = (3 * i % 120, (3 * i + 1) % 120);
-            if engine.summary().is_root(a) && engine.summary().is_root(b) {
-                engine.apply_merge(a, b, &mut ctx);
-            }
-        }
+        let (graph, engine) = caveman_fixture();
         let base = engine.summary().clone();
         let roots: Vec<SupernodeId> = base.roots().collect();
         // A full region, then a strict sub-region: the latter exercises the
@@ -1050,9 +933,9 @@ mod tests {
         for (region, full) in [(&roots, true), (&sub, false)] {
             let mut flat = base.clone();
             let mut hash = base.clone();
-            let report_flat = prune_region(&mut flat, &graph, region, 3, DEFAULT_MAX_PAIR_PRODUCT);
+            let report_flat = prune_region(&mut flat, &graph, region, 3);
             let report_hash = prune_region_rounds(&mut hash, region, 3, |host, region| {
-                prune_step3_region(host, &graph, region, DEFAULT_MAX_PAIR_PRODUCT)
+                prune_step3_region(host, &graph, region)
             });
             assert_eq!(report_flat, report_hash);
             if full {
@@ -1064,49 +947,5 @@ mod tests {
             assert_summaries_identical(&flat, &hash);
             verify_lossless(&flat, &graph).unwrap();
         }
-    }
-
-    #[test]
-    fn region_prune_over_all_roots_equals_global_prune() {
-        let graph = Graph::from_edges(
-            8,
-            vec![
-                (0, 2),
-                (0, 3),
-                (0, 4),
-                (0, 5),
-                (1, 2),
-                (1, 3),
-                (1, 4),
-                (1, 5),
-                (6, 0),
-                (7, 1),
-                (6, 7),
-            ],
-        );
-        let mut engine = MergeEngine::new(&graph);
-        let mut ctx = MergeCtx::new();
-        let m1 = engine.apply_merge(2, 3, &mut ctx);
-        let m2 = engine.apply_merge(4, 5, &mut ctx);
-        let _m3 = engine.apply_merge(m1, m2, &mut ctx);
-        let mut global = engine.summary().clone();
-        let mut regional = engine.summary().clone();
-        let report_global = prune_all(&mut global, &graph, 3);
-        let all_roots: Vec<SupernodeId> = regional.roots().collect();
-        let report_regional = prune_region(
-            &mut regional,
-            &graph,
-            &all_roots,
-            3,
-            DEFAULT_MAX_PAIR_PRODUCT,
-        );
-        assert_eq!(report_global, report_regional);
-        assert_eq!(global.encoding_cost(), regional.encoding_cost());
-        for id in 0..global.arena_len() as SupernodeId {
-            assert_eq!(global.parent(id), regional.parent(id));
-            assert_eq!(global.children(id), regional.children(id));
-            assert_eq!(global.is_alive(id), regional.is_alive(id));
-        }
-        verify_lossless(&regional, &graph).unwrap();
     }
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use slugger::baselines::{FlatSummary, Grouping};
 use slugger::core::decode::{decode_full, verify_lossless};
-use slugger::core::prune::{prune_step1, prune_step2, prune_step3, DEFAULT_MAX_PAIR_PRODUCT};
+use slugger::core::prune::{prune_step1, prune_step2, prune_step3};
 use slugger::core::{EdgeSign, HierarchicalSummary};
 use slugger::prelude::*;
 
@@ -57,7 +57,7 @@ proptest! {
         prop_assert_eq!(decode_full(&summary).edge_set(), before.edge_set());
         prune_step2(&mut summary);
         prop_assert_eq!(decode_full(&summary).edge_set(), before.edge_set());
-        prune_step3(&mut summary, &graph, DEFAULT_MAX_PAIR_PRODUCT);
+        prune_step3(&mut summary, &graph);
         prop_assert_eq!(decode_full(&summary).edge_set(), before.edge_set());
         prop_assert!(summary.validate().is_ok());
     }
@@ -70,7 +70,7 @@ proptest! {
         let c1 = summary.encoding_cost();
         prune_step2(&mut summary);
         let c2 = summary.encoding_cost();
-        prune_step3(&mut summary, &graph, DEFAULT_MAX_PAIR_PRODUCT);
+        prune_step3(&mut summary, &graph);
         let c3 = summary.encoding_cost();
         prop_assert!(c1 <= c0 && c2 <= c1 && c3 <= c2, "costs {c0} -> {c1} -> {c2} -> {c3}");
     }

@@ -1,5 +1,7 @@
 //! Golden outputs of the merge planner: encoding cost, pairs evaluated, merges and
 //! pairs bounded out of fixed batch and streaming runs, pinned to recorded numbers.
+//! The whole-summary pruning step is pinned the same way: the encoding cost after
+//! each substep and the report of a two-round prune of the unpruned summaries.
 //!
 //! The invariance suites compare settings against each other (thread counts,
 //! shard counts, scenarios), so a planner change that alters results the same
@@ -9,6 +11,7 @@
 //! the numbers and say so in the change description.
 
 use slugger::core::incremental::{IncrementalConfig, IncrementalSummarizer};
+use slugger::core::prune::{prune_all, prune_step1, prune_step2, prune_step3, PruneReport};
 use slugger::datasets::{dataset, DatasetKey};
 use slugger::graph::gen::{rmat, RmatConfig};
 use slugger::graph::stream::{stream_batches, StreamConfig};
@@ -39,6 +42,30 @@ fn batch_numbers(graph: &Graph) -> (usize, usize, usize, usize) {
     let merges = outcome.iterations.iter().map(|r| r.merges).sum();
     let bounded_out = outcome.iterations.iter().map(|r| r.pairs_bounded_out).sum();
     (outcome.metrics.cost, pairs, merges, bounded_out)
+}
+
+/// (encoding cost after substeps 1, 2 and 3, report of a two-round
+/// `prune_all`) on the T = 5 batch summary produced without pruning.
+fn prune_numbers(graph: &Graph) -> ([usize; 3], PruneReport) {
+    let unpruned = Slugger::new(SluggerConfig {
+        iterations: 5,
+        pruning_rounds: 0,
+        ..SluggerConfig::default()
+    })
+    .summarize(graph)
+    .summary;
+    let mut stepped = unpruned.clone();
+    prune_step1(&mut stepped);
+    let after1 = stepped.encoding_cost();
+    prune_step2(&mut stepped);
+    let after2 = stepped.encoding_cost();
+    prune_step3(&mut stepped, graph);
+    let after3 = stepped.encoding_cost();
+    verify_lossless(&stepped, graph).unwrap();
+    let mut pruned = unpruned;
+    let report = prune_all(&mut pruned, graph, 2);
+    verify_lossless(&pruned, graph).unwrap();
+    ([after1, after2, after3], report)
 }
 
 #[test]
@@ -80,5 +107,36 @@ fn rmat_stream_matches_the_golden_numbers() {
     assert_eq!(
         (stream.summary().encoding_cost(), pairs, merges, bounded_out),
         (5_047, 122_697, 1_165, 99_384)
+    );
+}
+
+#[test]
+fn lj_stand_in_prune_substeps_match_the_golden_numbers() {
+    let graph = dataset(DatasetKey::LJ).generate(0.3);
+    assert_eq!(
+        prune_numbers(&graph),
+        (
+            [11_518, 11_420, 11_420],
+            PruneReport {
+                step1_removed: 473,
+                step2_removed: 98,
+                step3_reencoded: 0,
+            }
+        )
+    );
+}
+
+#[test]
+fn rmat_prune_substeps_match_the_golden_numbers() {
+    assert_eq!(
+        prune_numbers(&rmat_graph()),
+        (
+            [5_090, 5_030, 5_027],
+            PruneReport {
+                step1_removed: 70,
+                step2_removed: 60,
+                step3_reencoded: 2,
+            }
+        )
     );
 }
