@@ -1,6 +1,8 @@
 //! Persistent batch-to-batch candidate index: cached min-hash shingles keyed by
 //! structural generation, so the incremental re-summarizer stops re-shingling
-//! the unchanged world every batch.
+//! the unchanged world every batch.  There is no separate indexed driver:
+//! [`candidate_sets_with`](super::candidate_sets_with) takes the index as an
+//! optional argument and routes its round-0 fill through it.
 //!
 //! # Why a cache is possible at all
 //!
@@ -48,7 +50,8 @@
 //! # Splice-aware bucketing
 //!
 //! Cached runs are stored pre-sorted by `(shingle, root)` — exactly the order
-//! [`candidate_sets_with`](super::candidate_sets_with) produces by sorting.
+//! [`candidate_sets_with`](super::candidate_sets_with) produces by sorting when
+//! it runs without an index.
 //! A batch's fill therefore only sorts the freshly hashed (dirty) roots and
 //! **merges** that run with the cached run's valid in-group entries, instead
 //! of re-sorting the whole region: the full sort of the index-free path
@@ -59,10 +62,8 @@
 //! [`crate::testsupport::reference_candidate_sets`] through random
 //! delta/prune/compact/recovery interleavings.
 
-use super::{fill_keyed, random_split, CandidateConfig, CandidateScratch};
+use super::{fill_keyed, CandidateScratch};
 use crate::model::{CompactionMap, HierarchicalSummary, SupernodeId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use slugger_graph::hash::FxHashMap;
 use slugger_graph::AdjacencyList;
 
@@ -90,7 +91,7 @@ struct IndexEntry {
 /// The persistent batch-to-batch candidate index (see the module docs).
 ///
 /// Owned by `crate::incremental::IncrementalSummarizer` across batches, like
-/// the planner pool and apply workers.  Memory is bounded by the number of
+/// the merge pass's planner pool and apply workers.  Memory is bounded by the number of
 /// distinct round seeds (batch-stable: the per-batch pass count, not the
 /// stream length) times the live roots ever cached; compaction remaps entries
 /// in place and stale entries are dropped on the next fill of their run.
@@ -214,7 +215,7 @@ impl CandidateIndex {
     /// under `seed`, hashing only the roots without a valid cached entry and
     /// splicing the rest out of the cached run.  Updates the run in place
     /// (valid out-of-group entries are retained, stale ones dropped).
-    fn fill_keyed_cached<G: AdjacencyList + Sync>(
+    pub(super) fn fill_keyed_cached<G: AdjacencyList + Sync>(
         &mut self,
         summary: &HierarchicalSummary,
         graph: &G,
@@ -316,84 +317,10 @@ impl CandidateIndex {
     }
 }
 
-/// [`super::candidate_sets_with`] backed by a persistent [`CandidateIndex`]:
-/// identical control flow and **byte-identical output** for the same inputs,
-/// but the initial (round-0) shingle fill of the call hashes only the roots the
-/// index cannot serve and splices the cached runs into the sort-based
-/// bucketing.  Deeper re-split rounds hash fresh exactly like the index-free
-/// path — they only ever see oversized buckets, which are bounded by the group
-/// cap and rare after the first split.
-///
-/// The caller owns the invalidation contract: every root whose member set or
-/// member neighborhoods changed since its entry was cached must have been
-/// retired through [`IndexSink::retire_root`] (see the module docs for the
-/// event inventory).  `tests/candidate_index.rs` pins the equivalence with
-/// [`crate::testsupport::reference_candidate_sets`] under random interleavings.
-#[allow(clippy::too_many_arguments)]
-pub fn candidate_sets_indexed<G: AdjacencyList + Sync>(
-    summary: &HierarchicalSummary,
-    graph: &G,
-    roots: &[SupernodeId],
-    seed: u64,
-    config: &CandidateConfig,
-    threads: usize,
-    scratch: &mut CandidateScratch,
-    index: &mut CandidateIndex,
-) -> Vec<Vec<SupernodeId>> {
-    let mut result = Vec::new();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe_f00d_d00d);
-    let mut queue: Vec<(Vec<SupernodeId>, usize)> = Vec::new();
-    if roots.len() >= 2 {
-        queue.push((roots.to_vec(), 0));
-    }
-    while let Some((group, round)) = queue.pop() {
-        if round >= config.max_shingle_splits {
-            random_split(group, config.max_group_size, &mut rng, &mut result);
-            continue;
-        }
-        let round_seed = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(round as u64 + 1);
-        if round == 0 {
-            // The full-region fill — the dominant cost — goes through the cache.
-            index.fill_keyed_cached(summary, graph, &group, round_seed, threads, scratch);
-        } else {
-            fill_keyed(summary, graph, &group, round_seed, threads, scratch);
-            scratch.keyed.sort_unstable();
-        }
-        if scratch.keyed.last().map(|&(s, _)| s) == scratch.keyed.first().map(|&(s, _)| s)
-            && round > 0
-        {
-            random_split(group, config.max_group_size, &mut rng, &mut result);
-            continue;
-        }
-        let keyed = &scratch.keyed[..];
-        let mut start = 0;
-        while start < keyed.len() {
-            let shingle = keyed[start].0;
-            let mut end = start + 1;
-            while end < keyed.len() && keyed[end].0 == shingle {
-                end += 1;
-            }
-            let len = end - start;
-            if len >= 2 {
-                let bucket: Vec<SupernodeId> = keyed[start..end].iter().map(|&(_, r)| r).collect();
-                if len <= config.max_group_size {
-                    result.push(bucket);
-                } else {
-                    queue.push((bucket, round + 1));
-                }
-            }
-            start = end;
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::candidate_sets_with;
+    use crate::candidates::{candidate_sets_with, CandidateConfig};
     use slugger_graph::gen::{caveman, CavemanConfig};
     use slugger_graph::Graph;
 
@@ -418,7 +345,7 @@ mod tests {
         for seed in [0u64, 7, 99] {
             let mut scratch = CandidateScratch::default();
             let mut index = CandidateIndex::new();
-            let indexed = candidate_sets_indexed(
+            let indexed = candidate_sets_with(
                 &summary,
                 &g,
                 &roots,
@@ -426,10 +353,11 @@ mod tests {
                 &config,
                 1,
                 &mut scratch,
-                &mut index,
+                Some(&mut index),
             );
             let mut scratch2 = CandidateScratch::default();
-            let plain = candidate_sets_with(&summary, &g, &roots, seed, &config, 1, &mut scratch2);
+            let plain =
+                candidate_sets_with(&summary, &g, &roots, seed, &config, 1, &mut scratch2, None);
             assert_eq!(indexed, plain, "seed {seed}");
             assert!(index.num_entries() > 0, "round-0 run must be cached");
         }
@@ -441,7 +369,7 @@ mod tests {
         let config = CandidateConfig::default();
         let mut scratch = CandidateScratch::default();
         let mut index = CandidateIndex::new();
-        let first = candidate_sets_indexed(
+        let first = candidate_sets_with(
             &summary,
             &g,
             &roots,
@@ -449,13 +377,13 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         let (reshingled, cached) = index.take_batch_stats();
         assert_eq!(reshingled, roots.len());
         assert_eq!(cached, 0);
         // Nothing changed: the second call must be all hits, same output.
-        let second = candidate_sets_indexed(
+        let second = candidate_sets_with(
             &summary,
             &g,
             &roots,
@@ -463,7 +391,7 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         assert_eq!(first, second);
         let (reshingled, cached) = index.take_batch_stats();
@@ -477,7 +405,7 @@ mod tests {
         let config = CandidateConfig::default();
         let mut scratch = CandidateScratch::default();
         let mut index = CandidateIndex::new();
-        candidate_sets_indexed(
+        candidate_sets_with(
             &summary,
             &g,
             &roots,
@@ -485,13 +413,13 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         index.take_batch_stats();
         for &r in &roots[..10] {
             index.retire_root(r);
         }
-        let sets = candidate_sets_indexed(
+        let sets = candidate_sets_with(
             &summary,
             &g,
             &roots,
@@ -499,13 +427,13 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         let (reshingled, cached) = index.take_batch_stats();
         assert_eq!(reshingled, 10);
         assert_eq!(cached, roots.len() - 10);
         let mut scratch2 = CandidateScratch::default();
-        let plain = candidate_sets_with(&summary, &g, &roots, 5, &config, 1, &mut scratch2);
+        let plain = candidate_sets_with(&summary, &g, &roots, 5, &config, 1, &mut scratch2, None);
         assert_eq!(sets, plain);
     }
 
@@ -517,7 +445,7 @@ mod tests {
         let config = CandidateConfig::default();
         let mut scratch = CandidateScratch::default();
         let mut index = CandidateIndex::new();
-        candidate_sets_indexed(
+        candidate_sets_with(
             &summary,
             &g,
             &roots,
@@ -525,11 +453,11 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         index.take_batch_stats();
         let subset: Vec<SupernodeId> = roots.iter().copied().step_by(2).collect();
-        candidate_sets_indexed(
+        candidate_sets_with(
             &summary,
             &g,
             &subset,
@@ -537,10 +465,10 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         index.take_batch_stats();
-        candidate_sets_indexed(
+        candidate_sets_with(
             &summary,
             &g,
             &roots,
@@ -548,7 +476,7 @@ mod tests {
             &config,
             1,
             &mut scratch,
-            &mut index,
+            Some(&mut index),
         );
         let (reshingled, cached) = index.take_batch_stats();
         assert_eq!(reshingled, 0, "full-set entries must have survived");

@@ -48,7 +48,7 @@ use slugger_graph::AdjacencyList;
 
 pub mod index;
 
-pub use index::{candidate_sets_indexed, CandidateIndex, IndexSink};
+pub use index::{CandidateIndex, IndexSink};
 
 /// Tuning knobs of the candidate-generation step.
 #[derive(Clone, Copy, Debug)]
@@ -231,13 +231,26 @@ pub fn candidate_sets<G: AdjacencyList + Sync>(
     config: &CandidateConfig,
 ) -> Vec<Vec<SupernodeId>> {
     let mut scratch = CandidateScratch::default();
-    candidate_sets_with(summary, graph, roots, seed, config, 1, &mut scratch)
+    candidate_sets_with(summary, graph, roots, seed, config, 1, &mut scratch, None)
 }
 
-/// [`candidate_sets`] with explicit worker-thread count and reusable scratch.
+/// [`candidate_sets`] with explicit worker-thread count, reusable scratch and an
+/// optional persistent [`CandidateIndex`].
 ///
 /// `threads` is a pure throughput knob (the shingle fold is a pure map dealt in
 /// contiguous chunks), so every thread count produces the identical grouping.
+///
+/// With an `index`, the initial (round-0) shingle fill hashes only the roots the
+/// index cannot serve and splices the cached run into the sort-based bucketing
+/// (see [`index`]); the output is byte-identical to the index-free call.  Deeper
+/// re-split rounds hash fresh either way — they only ever see oversized buckets,
+/// which are bounded by the group cap and rare after the first split.  The caller
+/// owns the invalidation contract: every root whose member set or member
+/// neighborhoods changed since its entry was cached must have been retired
+/// through [`IndexSink::retire_root`].  `tests/candidate_index.rs` pins the
+/// equivalence with [`crate::testsupport::reference_candidate_sets`] under random
+/// interleavings.
+#[allow(clippy::too_many_arguments)]
 pub fn candidate_sets_with<G: AdjacencyList + Sync>(
     summary: &HierarchicalSummary,
     graph: &G,
@@ -246,6 +259,7 @@ pub fn candidate_sets_with<G: AdjacencyList + Sync>(
     config: &CandidateConfig,
     threads: usize,
     scratch: &mut CandidateScratch,
+    mut index: Option<&mut CandidateIndex>,
 ) -> Vec<Vec<SupernodeId>> {
     let mut result = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe_f00d_d00d);
@@ -264,11 +278,19 @@ pub fn candidate_sets_with<G: AdjacencyList + Sync>(
         let round_seed = seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(round as u64 + 1);
-        fill_keyed(summary, graph, &group, round_seed, threads, scratch);
         // Buckets are the equal-shingle runs after sorting.  The whole-pair unstable
         // sort is allocation-free and fully deterministic (root ids are unique):
         // buckets come out in ascending shingle order, roots ascending within each.
-        scratch.keyed.sort_unstable();
+        match index.as_deref_mut() {
+            // The full-region fill — the dominant cost — goes through the cache.
+            Some(index) if round == 0 => {
+                index.fill_keyed_cached(summary, graph, &group, round_seed, threads, scratch)
+            }
+            _ => {
+                fill_keyed(summary, graph, &group, round_seed, threads, scratch);
+                scratch.keyed.sort_unstable();
+            }
+        }
         if scratch.keyed.last().map(|&(s, _)| s) == scratch.keyed.first().map(|&(s, _)| s)
             && round > 0
         {
@@ -277,18 +299,10 @@ pub fn candidate_sets_with<G: AdjacencyList + Sync>(
             random_split(group, config.max_group_size, &mut rng, &mut result);
             continue;
         }
-        let keyed = &scratch.keyed[..];
-        let mut start = 0;
-        while start < keyed.len() {
-            let shingle = keyed[start].0;
-            let mut end = start + 1;
-            while end < keyed.len() && keyed[end].0 == shingle {
-                end += 1;
-            }
-            let len = end - start;
-            if len >= 2 {
-                let bucket: Vec<SupernodeId> = keyed[start..end].iter().map(|&(_, r)| r).collect();
-                if len <= config.max_group_size {
+        for run in scratch.keyed.chunk_by(|a, b| a.0 == b.0) {
+            if run.len() >= 2 {
+                let bucket: Vec<SupernodeId> = run.iter().map(|&(_, r)| r).collect();
+                if run.len() <= config.max_group_size {
                     // Already small enough: emit directly instead of re-enqueueing
                     // (the old round trip re-checked — and at round 0 re-split —
                     // buckets that were already done).
@@ -297,7 +311,6 @@ pub fn candidate_sets_with<G: AdjacencyList + Sync>(
                     queue.push((bucket, round + 1));
                 }
             }
-            start = end;
         }
     }
     result
@@ -440,7 +453,8 @@ mod tests {
         let baseline = candidate_sets(&s, &g, &roots, 13, &config);
         for threads in [2usize, 4, 8] {
             let mut scratch = CandidateScratch::default();
-            let sets = candidate_sets_with(&s, &g, &roots, 13, &config, threads, &mut scratch);
+            let sets =
+                candidate_sets_with(&s, &g, &roots, 13, &config, threads, &mut scratch, None);
             assert_eq!(sets, baseline, "grouping changed at {threads} threads");
         }
     }
@@ -458,7 +472,7 @@ mod tests {
         };
         let mut scratch = CandidateScratch::default();
         for seed in 0..6u64 {
-            let reused = candidate_sets_with(&s, &g, &roots, seed, &config, 1, &mut scratch);
+            let reused = candidate_sets_with(&s, &g, &roots, seed, &config, 1, &mut scratch, None);
             let fresh = candidate_sets(&s, &g, &roots, seed, &config);
             assert_eq!(reused, fresh, "seed {seed}");
         }
@@ -484,7 +498,7 @@ mod tests {
         for (graph, other) in [(&small, &large), (&large, &small), (&small, &large)] {
             for g in [graph, other] {
                 let (s, roots) = identity_and_roots(g);
-                let reused = candidate_sets_with(&s, g, &roots, 5, &config, 1, &mut scratch);
+                let reused = candidate_sets_with(&s, g, &roots, 5, &config, 1, &mut scratch, None);
                 assert_eq!(reused, candidate_sets(&s, g, &roots, 5, &config));
             }
         }

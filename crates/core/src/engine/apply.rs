@@ -109,14 +109,6 @@ pub struct ApplyProfile {
     pub batched_plans: usize,
 }
 
-impl ApplyProfile {
-    /// Accumulates another invocation's counters.
-    pub fn absorb(&mut self, other: ApplyProfile) {
-        self.batches += other.batches;
-        self.batched_plans += other.batched_plans;
-    }
-}
-
 /// Reusable worker state of the parallel apply stage.
 ///
 /// Create one per run (alongside the driver's [`MergeCtx`]) and pass it to every
@@ -134,11 +126,11 @@ impl ApplyWorkers {
         ApplyWorkers::default()
     }
 
-    /// At least `count` workers, forked to match `ctx`'s memoization setting.
-    fn ensure(&mut self, count: usize, ctx: &MergeCtx) -> &mut [ApplyWorker] {
+    /// At least `count` workers, each with its own memo-enabled context.
+    fn ensure(&mut self, count: usize) -> &mut [ApplyWorker] {
         while self.workers.len() < count {
             self.workers.push(ApplyWorker {
-                ctx: ctx.fork_like(),
+                ctx: MergeCtx::new(),
                 scratch: PlanScratch::new(),
                 tracked: Vec::new(),
             });
@@ -234,7 +226,7 @@ pub fn apply_plans_with(
         // is deterministic no matter where it runs.
         let batch_merges: usize = batch.iter().map(|&i| plans[i].merges.len()).sum();
         if batch.len() == 1 || batch_merges < SPAWN_THRESHOLD {
-            let worker = &mut workers.ensure(1, ctx)[0];
+            let worker = &mut workers.ensure(1)[0];
             for &i in batch {
                 let resolved = resolve_plan(engine, &plans[i], starts[i], worker);
                 commit_plan(engine, &resolved);
@@ -257,7 +249,7 @@ pub fn apply_plans_with(
         let batch: &[usize] = batch;
         let produced: Vec<Vec<(usize, ResolvedPlan)>> = rayon::scope(|scope| {
             let handles: Vec<_> = workers
-                .ensure(workers_used, ctx)
+                .ensure(workers_used)
                 .iter_mut()
                 .zip(assignment.shards().iter())
                 .filter(|(_, shard)| !shard.is_empty())

@@ -65,24 +65,6 @@ impl MergeCtx {
         }
     }
 
-    /// Wraps an existing memo (e.g. one shared across runs) with fresh scratch.
-    pub fn from_memo(memo: EncoderMemo) -> Self {
-        MergeCtx {
-            memo,
-            scratch: EvalScratch::default(),
-        }
-    }
-
-    /// A fresh context with the same memoization setting as `self` (used to fork
-    /// per-worker contexts for the parallel apply stage).
-    pub fn fork_like(&self) -> Self {
-        if self.memo.enabled {
-            MergeCtx::new()
-        } else {
-            MergeCtx::disabled()
-        }
-    }
-
     /// Returns a spent `SetPlan::merges` vector to the pool, so the next
     /// [`crate::merge::plan_candidate_set`] call on this context reuses its
     /// allocation instead of allocating a fresh one.  The pool is capped; excess

@@ -35,14 +35,16 @@
 //!    step, with everything outside the dirty region untouched — see
 //!    ARCHITECTURE.md's subtree-detach lifecycle section for why exactly the
 //!    spine's encodings (and nothing else) are invalidated.
-//! 4. **Re-summarize**: [`IncrementalConfig::iterations`] passes of the standard
-//!    candidates → shard → merge → apply pipeline run with the candidate-root list
-//!    **restricted to the region's roots** (the dissolved leaves, then their merge
-//!    products).  Each pass's candidate stage goes through the persistent
-//!    [`CandidateIndex`], which re-hashes only the roots retired since their
-//!    signatures were cached.  Planner state ([`PlannerPool`]) and apply workers
-//!    ([`ApplyWorkers`]) persist across batches too, so encoder memos and
-//!    overlay pools warm up once per stream, not once per batch.
+//! 4. **Re-summarize**: [`IncrementalConfig::iterations`] passes of the batch
+//!    driver's own merge pass (candidates → shard → merge → apply; see
+//!    [`crate::slugger`]) run with the candidate-root list **restricted to the
+//!    region's roots** (the dissolved leaves, then their merge products).  Each
+//!    pass's candidate stage goes through the persistent [`CandidateIndex`]
+//!    ([`crate::candidates::candidate_sets_with`] given the index), which
+//!    re-hashes only the roots retired since their signatures were cached.  The
+//!    pass's planner pool and apply workers persist across batches too, so
+//!    encoder memos and overlay pools warm up once per stream, not once per
+//!    batch.
 //!
 //! Steps 3–4 only ever *preserve* the represented graph, so after **any** sequence
 //! of deltas the maintained summary decodes to exactly the current graph — the
@@ -99,16 +101,13 @@
 //! inc.verify_lossless().unwrap();
 //! ```
 
-use crate::candidates::{
-    candidate_sets_indexed, CandidateConfig, CandidateIndex, CandidateScratch,
-};
-use crate::engine::apply::{apply_plans_with, ApplyWorkers};
-use crate::engine::{MergeCtx, MergeEngine};
-use crate::merge::{merging_threshold, MergeOptions};
+use crate::candidates::CandidateIndex;
+use crate::engine::MergeEngine;
 use crate::model::{HierarchicalSummary, SupernodeId};
-use crate::pipeline::{plan_shards_pooled, set_rng, Parallelism, PlannerPool, DEFAULT_SHARDS};
+use crate::pipeline::{Parallelism, DEFAULT_SHARDS};
 use crate::prune::{prune_all, prune_region, PruneReport};
-use crate::slugger::{SluggerPlanner, SluggerShardWorker};
+use crate::slugger::MergePass;
+use crate::SluggerConfig;
 use serde::{Deserialize, Serialize};
 use slugger_graph::stream::{DynamicGraph, GraphDelta};
 use slugger_graph::{Graph, NodeId};
@@ -247,7 +246,9 @@ pub struct BatchReport {
     pub stages: crate::slugger::StageProfile,
 }
 
-/// The shingle seed of per-batch pipeline pass `t` (1-based, batch-local).
+/// The shingle seed of pipeline pass `t` (1-based; batch-local in a stream).
+/// Both drivers use it: iteration `t` of a batch [`crate::Slugger`] run and
+/// pass `t` of every streaming batch.
 ///
 /// Deliberately **batch-stable**: pass `t` of every batch hashes with the same
 /// seed, which is what makes signatures cacheable across batches at all — a
@@ -293,10 +294,7 @@ pub struct IncrementalSummarizer {
     epoch: usize,
     batches: usize,
     /// Persistent pipeline state, warm across batches.
-    planner_pool: PlannerPool<SluggerPlanner>,
-    apply_workers: ApplyWorkers,
-    ctx: MergeCtx,
-    candidate_scratch: CandidateScratch,
+    pass: MergePass,
     /// Persistent batch-to-batch shingle cache (see the module docs, step 4).
     /// Never persisted: recovery rebuilds it cold (an empty cache just recomputes,
     /// so recovery identity is untouched).
@@ -373,15 +371,21 @@ impl IncrementalSummarizer {
     fn with_engine(mut engine: MergeEngine, graph: &Graph, config: IncrementalConfig) -> Self {
         engine.enable_index_log();
         IncrementalSummarizer {
-            ctx: MergeCtx::new(),
+            pass: MergePass::new(SluggerConfig {
+                iterations: config.iterations,
+                max_candidate_size: config.max_candidate_size,
+                max_shingle_splits: config.max_shingle_splits,
+                height_bound: config.height_bound,
+                seed: config.seed,
+                shards: config.shards,
+                parallelism: config.parallelism,
+                ..SluggerConfig::default()
+            }),
             config,
             engine,
             graph: DynamicGraph::from_graph(graph),
             epoch: 0,
             batches: 0,
-            planner_pool: PlannerPool::new(),
-            apply_workers: ApplyWorkers::new(),
-            candidate_scratch: CandidateScratch::default(),
             index: CandidateIndex::new(),
             dirty_mark: vec![false; graph.num_nodes()],
             restore_buf: Vec::new(),
@@ -599,86 +603,31 @@ impl IncrementalSummarizer {
         self.restore_buf = restore_buf;
         report.stages.dissolve = dissolve_start.elapsed();
 
-        // Step 4: re-summarize the region.  `active` tracks the region's current
-        // roots across passes: surviving roots keep their (ascending) order and
-        // merge products are appended in ascending arena order.
+        // Step 4: re-summarize the region: the batch driver's merge pass over
+        // `active`, the region's current roots (the pass keeps it current).
         let mut active: Vec<SupernodeId> = region_roots;
-        let candidate_config = CandidateConfig {
-            max_group_size: self.config.max_candidate_size,
-            max_shingle_splits: self.config.max_shingle_splits,
-        };
-        let threads = self.config.parallelism.threads();
         for t in 1..=self.config.iterations {
             if active.len() < 2 {
                 break;
             }
             self.epoch += 1;
-            let threshold = merging_threshold(t, self.config.iterations);
-            // Batch-stable shingle seed (see [`pass_shingle_seed`]): the same for
-            // pass `t` of every batch, so cached signatures stay comparable.
-            let pass_seed = pass_shingle_seed(self.config.seed, t);
-            let candidates_start = std::time::Instant::now();
-            // Apply every structural event since the last pass to the index,
-            // then hash only what those events invalidated.
-            self.engine.flush_retired(&mut self.index);
-            let sets = candidate_sets_indexed(
-                self.engine.summary(),
+            let (stats, _) = self.pass.run(
+                &mut self.engine,
                 &self.graph,
-                &active,
-                pass_seed,
-                &candidate_config,
-                threads,
-                &mut self.candidate_scratch,
-                &mut self.index,
+                &mut active,
+                t,
+                self.epoch,
+                Some(&mut self.index),
+                &mut report.stages,
             );
             let (reshingled, cached) = self.index.take_batch_stats();
             report.reshingled_roots += reshingled;
             report.cached_roots += cached;
-            report.stages.candidates += candidates_start.elapsed();
-            let worker = SluggerShardWorker {
-                view: &self.engine,
-                options: MergeOptions {
-                    threshold,
-                    height_bound: self.config.height_bound,
-                },
-                memoization: true,
-            };
-            let seed = self.config.seed;
-            let epoch = self.epoch;
-            let plan_start = std::time::Instant::now();
-            let plans = plan_shards_pooled(
-                &worker,
-                &sets,
-                self.config.shards,
-                self.config.parallelism,
-                &|set_index| set_rng(seed, epoch, set_index),
-                &mut self.planner_pool,
-            );
-            report.stages.plan += plan_start.elapsed();
-            let arena_before = self.engine.summary().arena_len() as SupernodeId;
-            let apply_start = std::time::Instant::now();
-            let (stats, _) = apply_plans_with(
-                &mut self.engine,
-                &mut self.ctx,
-                &mut self.apply_workers,
-                &plans,
-                threads,
-            );
-            report.stages.apply += apply_start.elapsed();
             report.pairs_evaluated += stats.evaluated;
             report.pairs_bounded_out += stats.bounded_out;
             report.merges += stats.merged;
             report.panel_blocks_built += stats.panel_blocks_built;
             report.panel_blocks_served += stats.panel_blocks_served;
-            // Return spent merge vectors to the persistent planners, so
-            // steady-state batches pop instead of allocating.
-            self.planner_pool.recycle_plans(plans);
-            let summary = self.engine.summary();
-            active.retain(|&r| summary.is_root(r));
-            active.extend(
-                (arena_before..summary.arena_len() as SupernodeId)
-                    .filter(|&id| summary.is_root(id)),
-            );
         }
 
         for &u in &leaves {
@@ -854,20 +803,12 @@ impl IncrementalSummarizer {
         t: usize,
         roots: &[SupernodeId],
     ) -> Vec<Vec<SupernodeId>> {
-        self.engine.flush_retired(&mut self.index);
-        let candidate_config = CandidateConfig {
-            max_group_size: self.config.max_candidate_size,
-            max_shingle_splits: self.config.max_shingle_splits,
-        };
-        candidate_sets_indexed(
-            self.engine.summary(),
+        self.pass.candidate_sets(
+            &mut self.engine,
             &self.graph,
             roots,
-            pass_shingle_seed(self.config.seed, t),
-            &candidate_config,
-            self.config.parallelism.threads(),
-            &mut self.candidate_scratch,
-            &mut self.index,
+            t,
+            Some(&mut self.index),
         )
     }
 }

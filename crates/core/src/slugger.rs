@@ -1,19 +1,21 @@
 //! The SLUGGER driver (Algorithm 1): `T` iterations of candidate generation followed
 //! by greedy merging, then pruning.
 //!
-//! Each iteration runs through the sharded pipeline of [`crate::pipeline`]
-//! (candidates → shard → merge → apply): candidate sets are dealt across
-//! [`SluggerConfig::shards`] worker shards, each set's merges are planned on a
-//! copy-on-write overlay of the iteration's frozen engine, and the plans are
-//! replayed on the authoritative engine in deterministic order.
+//! Each iteration is one merge pass (`MergePass`) through the sharded pipeline of
+//! [`crate::pipeline`] (candidates → shard → merge → apply): candidate sets are
+//! dealt across [`SluggerConfig::shards`] worker shards, each set's merges are
+//! planned on a copy-on-write overlay of the iteration's frozen engine, and the
+//! plans are replayed on the authoritative engine in deterministic order.
 //! [`SluggerConfig::parallelism`] picks how many threads execute the shards and
-//! never changes the result.
+//! never changes the result.  The streaming maintainer ([`crate::incremental`])
+//! runs the same pass over its dirty region, with its persistent candidate index.
 
-use crate::candidates::{candidate_sets_with, CandidateConfig, CandidateScratch};
-use crate::engine::apply::{apply_plans_with, ApplyProfile, ApplyWorkers, SetPlan};
+use crate::candidates::{candidate_sets_with, CandidateConfig, CandidateIndex, CandidateScratch};
+use crate::engine::apply::{apply_plans_with, ApplyWorkers, SetPlan};
 use crate::engine::plan::{PlanScratch, PlanningEngine};
 use crate::engine::{MergeCtx, MergeEngine};
-use crate::merge::{merging_threshold, plan_candidate_set, MergeOptions};
+use crate::incremental::pass_shingle_seed;
+use crate::merge::{merging_threshold, plan_candidate_set, MergeOptions, MergeStats};
 use crate::metrics::SummaryMetrics;
 use crate::model::{HierarchicalSummary, SupernodeId};
 use crate::pipeline::{
@@ -22,7 +24,7 @@ use crate::pipeline::{
 use crate::prune::{prune_all, PruneReport};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use slugger_graph::Graph;
+use slugger_graph::{AdjacencyList, Graph};
 
 /// Configuration of a SLUGGER run.  The defaults reproduce the paper's experimental
 /// setting (T = 20, candidate sets of at most 500 roots, at most 10 shingle splits,
@@ -41,9 +43,6 @@ pub struct SluggerConfig {
     /// Number of pruning rounds (each round runs substeps 1 → 2 → 3); 0 disables
     /// pruning entirely.
     pub pruning_rounds: usize,
-    /// Whether the local re-encoding memo is enabled (disable only to measure the
-    /// effect of memoization).
-    pub memoization: bool,
     /// Random seed controlling candidate grouping and pivot selection.
     pub seed: u64,
     /// Number of worker shards candidate sets are dealt across per iteration.  A pure
@@ -75,7 +74,6 @@ impl Default for SluggerConfig {
             max_shingle_splits: 10,
             height_bound: None,
             pruning_rounds: 2,
-            memoization: true,
             seed: 0,
             shards: DEFAULT_SHARDS,
             parallelism: Parallelism::Sequential,
@@ -113,8 +111,8 @@ pub struct IterationRecord {
 ///
 /// `candidates` + `plan` + `apply` + `prune` cover the pipeline stages, not all
 /// of `elapsed`.  Outside them a batch run spends time on engine construction
-/// (`MergeEngine::new`, a visible share of a short run), on collecting the roots
-/// and recording the cost after every iteration, and on the final metrics.
+/// (`MergeEngine::new`, a visible share of a short run), on updating the tracked
+/// roots and recording the cost after every iteration, and on the final metrics.
 /// e2ebench reports that remainder as `slugger.other_s`.  The streaming path
 /// ([`crate::incremental`]) reuses the struct per batch and additionally fills
 /// `localize` and `dissolve` (always zero for a batch [`Slugger`] run, which has
@@ -208,84 +206,18 @@ impl Slugger {
         let start = std::time::Instant::now();
         let config = &self.config;
         let mut engine = MergeEngine::new(graph);
-        let mut ctx = if config.memoization {
-            MergeCtx::new()
-        } else {
-            MergeCtx::disabled()
-        };
-        let candidate_config = CandidateConfig {
-            max_group_size: config.max_candidate_size,
-            max_shingle_splits: config.max_shingle_splits,
-        };
-        let candidate_threads = config.parallelism.threads();
-        let mut candidate_scratch = CandidateScratch::default();
+        let mut pass = MergePass::new(*config);
+        let mut roots = engine.roots();
         let mut stages = StageProfile::default();
         let mut iterations = Vec::with_capacity(config.iterations);
-        // Planner and parallel-apply worker state persists across iterations so
-        // encoder memos and overlay pools warm up once, not once per iteration
-        // (SLUGGER's planner state never affects output — see
-        // `SluggerShardWorker::reset`).
-        let mut planner_pool: PlannerPool<SluggerPlanner> = PlannerPool::new();
-        let mut apply_workers = ApplyWorkers::new();
-        let mut apply_profile = ApplyProfile::default();
-
         for t in 1..=config.iterations {
-            let threshold = merging_threshold(t, config.iterations);
-            let roots = engine.roots();
-            let iteration_seed = config
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(t as u64);
-            let stage_start = std::time::Instant::now();
-            let sets = candidate_sets_with(
-                engine.summary(),
-                graph,
-                &roots,
-                iteration_seed,
-                &candidate_config,
-                candidate_threads,
-                &mut candidate_scratch,
-            );
-            stages.candidates += stage_start.elapsed();
-            let options = MergeOptions {
-                threshold,
-                height_bound: config.height_bound,
-            };
-            // Merge stage: plan every candidate set against the frozen engine (on
-            // copy-on-write overlays, sharded for scheduling)…
-            let worker = SluggerShardWorker {
-                view: &engine,
-                options,
-                memoization: config.memoization,
-            };
-            let stage_start = std::time::Instant::now();
-            let plans = plan_shards_pooled(
-                &worker,
-                &sets,
-                config.shards,
-                config.parallelism,
-                &|set_index| set_rng(config.seed, t, set_index),
-                &mut planner_pool,
-            );
-            stages.plan += stage_start.elapsed();
-            // …then reconcile the plans on the authoritative engine: serially in set
-            // order for one thread, or through conflict-partitioned batches (with a
-            // byte-identical result) when worker threads are available.
-            let stage_start = std::time::Instant::now();
-            let (stats, profile) = apply_plans_with(
-                &mut engine,
-                &mut ctx,
-                &mut apply_workers,
-                &plans,
-                config.parallelism.threads(),
-            );
-            stages.apply += stage_start.elapsed();
-            apply_profile.absorb(profile);
-            planner_pool.recycle_plans(plans);
+            let (stats, candidate_sets) =
+                pass.run(&mut engine, graph, &mut roots, t, t, None, &mut stages);
+            debug_assert_eq!(roots, engine.roots(), "the tracked roots drifted");
             iterations.push(IterationRecord {
                 iteration: t,
-                threshold,
-                candidate_sets: sets.len(),
+                threshold: merging_threshold(t, config.iterations),
+                candidate_sets,
                 pairs_evaluated: stats.evaluated,
                 pairs_bounded_out: stats.bounded_out,
                 merges: stats.merged,
@@ -296,8 +228,6 @@ impl Slugger {
             });
         }
 
-        stages.apply_batches = apply_profile.batches;
-        stages.apply_batched_plans = apply_profile.batched_plans;
         let mut summary = engine.into_summary();
         let stage_start = std::time::Instant::now();
         let prune_report = if config.pruning_rounds > 0 {
@@ -318,6 +248,134 @@ impl Slugger {
     }
 }
 
+/// One pass of Algorithm 1's loop body — candidates, then sharded planning, then
+/// apply — over a tracked root list.  The batch driver runs it once per
+/// iteration over every root; the streaming maintainer runs it over its dirty
+/// region, with its persistent [`CandidateIndex`].
+///
+/// The pass owns the state that warms up across passes: the planner pool, the
+/// parallel-apply workers, the apply-side [`MergeCtx`] and the candidate scratch.
+/// None of it ever changes the output (see `SluggerShardWorker::reset`), so
+/// encoder memos and overlay pools warm up once per run or stream, not once per
+/// pass.
+pub(crate) struct MergePass {
+    config: SluggerConfig,
+    planner_pool: PlannerPool<SluggerPlanner>,
+    apply_workers: ApplyWorkers,
+    ctx: MergeCtx,
+    candidate_scratch: CandidateScratch,
+}
+
+impl MergePass {
+    /// Cold pass state for the pipeline knobs of `config` (its `pruning_rounds`
+    /// is not read: pruning runs outside the pass).
+    pub(crate) fn new(config: SluggerConfig) -> Self {
+        MergePass {
+            config,
+            planner_pool: PlannerPool::new(),
+            apply_workers: ApplyWorkers::new(),
+            ctx: MergeCtx::new(),
+            candidate_scratch: CandidateScratch::default(),
+        }
+    }
+
+    /// The candidate sets of pass `t` over `roots`, under the shingle seed
+    /// [`pass_shingle_seed`]`(seed, t)`.  With an `index`, the engine's pending
+    /// retirements are flushed into it first and the fill goes through it.
+    pub(crate) fn candidate_sets<G: AdjacencyList + Sync>(
+        &mut self,
+        engine: &mut MergeEngine,
+        graph: &G,
+        roots: &[SupernodeId],
+        t: usize,
+        mut index: Option<&mut CandidateIndex>,
+    ) -> Vec<Vec<SupernodeId>> {
+        if let Some(index) = index.as_deref_mut() {
+            engine.flush_retired(index);
+        }
+        let config = &self.config;
+        candidate_sets_with(
+            engine.summary(),
+            graph,
+            roots,
+            pass_shingle_seed(config.seed, t),
+            &CandidateConfig {
+                max_group_size: config.max_candidate_size,
+                max_shingle_splits: config.max_shingle_splits,
+            },
+            config.parallelism.threads(),
+            &mut self.candidate_scratch,
+            index,
+        )
+    }
+
+    /// Runs pass `t` of `T` over `roots` and accumulates its stage times into
+    /// `stages`.  Merge planning draws from the RNG streams
+    /// [`set_rng`]`(seed, rng_index, set)`.  On return `roots` holds the
+    /// region's current roots: the survivors in their order, then the merge
+    /// products in ascending arena order.  Merges only append ids, so a list that
+    /// started sorted stays sorted.  Returns the pass's statistics and its
+    /// candidate-set count.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<G: AdjacencyList + Sync>(
+        &mut self,
+        engine: &mut MergeEngine,
+        graph: &G,
+        roots: &mut Vec<SupernodeId>,
+        t: usize,
+        rng_index: usize,
+        index: Option<&mut CandidateIndex>,
+        stages: &mut StageProfile,
+    ) -> (MergeStats, usize) {
+        let stage_start = std::time::Instant::now();
+        let sets = self.candidate_sets(engine, graph, roots, t, index);
+        stages.candidates += stage_start.elapsed();
+        let config = &self.config;
+        // Merge stage: plan every candidate set against the frozen engine (on
+        // copy-on-write overlays, sharded for scheduling)…
+        let worker = SluggerShardWorker {
+            view: &*engine,
+            options: MergeOptions {
+                threshold: merging_threshold(t, config.iterations),
+                height_bound: config.height_bound,
+            },
+        };
+        let seed = config.seed;
+        let stage_start = std::time::Instant::now();
+        let plans = plan_shards_pooled(
+            &worker,
+            &sets,
+            config.shards,
+            config.parallelism,
+            &|set_index| set_rng(seed, rng_index, set_index),
+            &mut self.planner_pool,
+        );
+        stages.plan += stage_start.elapsed();
+        // …then reconcile the plans on the authoritative engine: serially in set
+        // order for one thread, or through conflict-partitioned batches (with a
+        // byte-identical result) when worker threads are available.
+        let arena_before = engine.summary().arena_len() as SupernodeId;
+        let stage_start = std::time::Instant::now();
+        let (stats, profile) = apply_plans_with(
+            engine,
+            &mut self.ctx,
+            &mut self.apply_workers,
+            &plans,
+            config.parallelism.threads(),
+        );
+        stages.apply += stage_start.elapsed();
+        stages.apply_batches += profile.batches;
+        stages.apply_batched_plans += profile.batched_plans;
+        self.planner_pool.recycle_plans(plans);
+        let summary = engine.summary();
+        roots.retain(|&r| summary.is_root(r));
+        roots.extend(
+            (arena_before..summary.arena_len() as SupernodeId).filter(|&id| summary.is_root(id)),
+        );
+        (stats, sets.len())
+    }
+}
+
 /// SLUGGER's shard worker: the frozen iteration view plus the merge options.
 ///
 /// Forking is cheap — the per-shard state is a [`SluggerPlanner`]: a [`MergeCtx`]
@@ -327,26 +385,22 @@ impl Slugger {
 /// copy-on-write [`PlanningEngine`] overlay over the frozen view built from that
 /// scratch, whose construction cost is proportional to the set, not to the graph —
 /// and which, once the pools are warm, allocates nothing per set.
-pub(crate) struct SluggerShardWorker<'a> {
-    pub(crate) view: &'a MergeEngine,
-    pub(crate) options: MergeOptions,
-    pub(crate) memoization: bool,
+struct SluggerShardWorker<'a> {
+    view: &'a MergeEngine,
+    options: MergeOptions,
 }
 
-/// Per-shard planning state: evaluation context plus the pooled overlay scratch.
-/// Shared with the incremental re-summarizer ([`crate::incremental`]), whose
-/// persistent [`PlannerPool`] keeps these warm across delta batches.
-pub(crate) struct SluggerPlanner {
-    pub(crate) ctx: MergeCtx,
-    pub(crate) overlay: PlanScratch,
+/// Per-shard planning state: evaluation context plus the pooled overlay scratch,
+/// kept warm across passes by [`MergePass`]'s planner pool.
+struct SluggerPlanner {
+    ctx: MergeCtx,
+    overlay: PlanScratch,
 }
 
 impl PlannerPool<SluggerPlanner> {
     /// Returns the spent plans' merge vectors to the pooled planners
     /// (round-robin), so the next pass's sets pop them instead of allocating.
-    /// Shared by the batch driver ([`Slugger::summarize`]) and the incremental
-    /// re-summarizer so the pooling policy cannot drift between the two.
-    pub(crate) fn recycle_plans(&mut self, plans: Vec<SetPlan>) {
+    fn recycle_plans(&mut self, plans: Vec<SetPlan>) {
         if self.is_empty() {
             return;
         }
@@ -364,11 +418,7 @@ impl ShardWorker for SluggerShardWorker<'_> {
 
     fn fork(&self) -> SluggerPlanner {
         SluggerPlanner {
-            ctx: if self.memoization {
-                MergeCtx::new()
-            } else {
-                MergeCtx::disabled()
-            },
+            ctx: MergeCtx::new(),
             overlay: PlanScratch::new(),
         }
     }
@@ -511,25 +561,6 @@ mod tests {
         assert_eq!(a.metrics.cost, b.metrics.cost);
         assert_eq!(a.metrics.p_edges, b.metrics.p_edges);
         assert_eq!(a.metrics.h_edges, b.metrics.h_edges);
-    }
-
-    #[test]
-    fn memoization_does_not_change_results() {
-        let graph = caveman(&CavemanConfig {
-            num_nodes: 100,
-            ..CavemanConfig::default()
-        });
-        let with = Slugger::new(SluggerConfig {
-            memoization: true,
-            ..quick_config(3, 13)
-        })
-        .summarize(&graph);
-        let without = Slugger::new(SluggerConfig {
-            memoization: false,
-            ..quick_config(3, 13)
-        })
-        .summarize(&graph);
-        assert_eq!(with.metrics.cost, without.metrics.cost);
     }
 
     #[test]

@@ -140,8 +140,8 @@ pub fn reference_shingles(
 /// candidate stage.
 ///
 /// Identical algorithm and identical output to
-/// [`crate::candidates::candidate_sets_with`] and
-/// [`crate::candidates::candidate_sets_indexed`] for every seed, but written
+/// [`crate::candidates::candidate_sets_with`], with or without a candidate
+/// index, for every seed, but written
 /// the obvious way: every shingle pass goes through [`reference_shingles`] and
 /// runs on one thread with fresh allocations.  `tests/candidate_determinism.rs`
 /// pins the byte-for-byte equivalence.

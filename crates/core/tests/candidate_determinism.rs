@@ -76,6 +76,7 @@ fn optimized_candidate_sets_match_reference_across_seeds_and_generators() {
                     &config,
                     1,
                     &mut scratch,
+                    None,
                 );
                 assert_eq!(
                     optimized, expected,
@@ -120,6 +121,7 @@ fn thread_count_is_invisible_to_the_grouping() {
                     &config,
                     threads,
                     &mut scratch,
+                    None,
                 );
                 assert_eq!(
                     grouped, baseline,
@@ -161,6 +163,7 @@ fn parallel_shingle_fold_is_invisible_to_the_grouping() {
             &config,
             threads,
             &mut scratch,
+            None,
         );
         assert_eq!(
             grouped, expected,
@@ -202,7 +205,8 @@ fn candidate_sets_match_reference_on_a_coarse_summary() {
                 seed,
                 &config,
                 1,
-                &mut scratch
+                &mut scratch,
+                None,
             ),
             reference_candidate_sets(&summary, &graph, &roots, seed, &config),
             "coarse-summary grouping diverged at seed {seed}"
