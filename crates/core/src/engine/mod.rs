@@ -92,15 +92,14 @@ pub(crate) struct Case2Record {
 /// re-reading any pre-merge state.
 ///
 /// Produced by [`view::resolve_merge_into`] against the pre-merge state; the Case-2
-/// records live in a caller-owned buffer, referenced by `(case2_start, case2_len)`.
-/// Resolution is the expensive half of a merge (panel building + solving), which is
-/// what the parallel apply stage fans out across workers; committing a resolution is
-/// cheap and stays serial.
+/// records fill a caller-owned buffer that the commit reads whole.  Resolution is the
+/// expensive half of a merge (panel building + solving); the engine and the planning
+/// overlay each commit it onto their own state.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ResolvedMerge {
     pub(crate) a: SupernodeId,
     pub(crate) b: SupernodeId,
-    /// The id the merged supernode gets (precomputed for forced-slot commits).
+    /// The id the merged supernode gets: the next arena slot.
     pub(crate) m: SupernodeId,
     /// Pre-merge p/n-edge count between the two trees.
     pub(crate) cross_ab: u32,
@@ -108,8 +107,6 @@ pub(crate) struct ResolvedMerge {
     pub(crate) b_kids: [Option<SupernodeId>; 3],
     pub(crate) sol1: PanelSolution,
     pub(crate) old1: PanelEdges,
-    pub(crate) case2_start: usize,
-    pub(crate) case2_len: usize,
 }
 
 /// Reusable buffers of one [`MergeCtx`] (see [`view`]'s allocation discipline).
@@ -808,7 +805,7 @@ impl MergeEngine {
     /// every other id-*order*-dependent tie-break behave identically afterwards:
     /// compaction never changes subsequent outputs (in id-free canonical form) —
     /// pinned by `tests/incremental_prune_compact.rs`.  Must only be called between
-    /// pipeline passes (no outstanding plans or forced arena slots).
+    /// pipeline passes (no outstanding plans).
     pub fn compact(&mut self) -> usize {
         self.compact_mapped().map_or(0, |map| map.reclaimed())
     }
@@ -918,11 +915,12 @@ impl MergeEngine {
     ///
     /// Sorted so the iteration's root list is a pure function of the engine's
     /// *content*: the underlying hash map's iteration order depends on its
-    /// insertion/removal history, which differs between the serial and the
-    /// conflict-partitioned parallel apply path (they commit the same merges in
-    /// different orders) — and the candidate stage preserves the input order of
-    /// groups it never splits, so an unsorted list would leak the commit schedule
-    /// into the output.
+    /// insertion/removal history, which differs between a live engine and one
+    /// rebuilt by [`MergeEngine::from_summary`] (after compaction or recovery) —
+    /// and the candidate stage preserves the input order of groups it never
+    /// splits, so an unsorted list would leak that history into the output
+    /// (pinned by `tests/storage_roundtrip.rs` and
+    /// `tests/incremental_prune_compact.rs`).
     pub fn roots(&self) -> Vec<SupernodeId> {
         let mut roots: Vec<SupernodeId> = self.roots.keys().copied().collect();
         roots.sort_unstable();
@@ -1003,9 +1001,8 @@ impl MergeEngine {
     /// returns the id of the new root supernode.
     ///
     /// Split into `view::resolve_merge_into` (the expensive read-only half) and
-    /// `MergeEngine::commit_merge` (the cheap mutation half) so the parallel apply
-    /// stage can resolve merges on worker threads and commit them serially through
-    /// the identical code path.
+    /// `MergeEngine::commit_merge` (the cheap mutation half); the planning overlay
+    /// shares the resolution and mirrors the commit on its copy-on-write state.
     pub fn apply_merge(
         &mut self,
         a: SupernodeId,
@@ -1015,7 +1012,6 @@ impl MergeEngine {
         debug_assert!(self.roots.contains_key(&a) && self.roots.contains_key(&b) && a != b);
         let MergeCtx { memo, scratch } = ctx;
         let EvalScratch { commons, case2, .. } = scratch;
-        case2.clear();
         let m = self.summary.arena_len() as SupernodeId;
         let resolved = view::resolve_merge_into(self, a, b, m, memo, commons, case2);
         self.commit_merge(&resolved, case2);
@@ -1023,33 +1019,22 @@ impl MergeEngine {
     }
 
     /// Applies a [`ResolvedMerge`] to the authoritative state: structural merge into
-    /// the (possibly forced) arena slot `rm.m`, union-find and root-metadata
-    /// bookkeeping, and the pre-solved Case-1/Case-2 edge re-encodings.
-    ///
-    /// `case2` is the buffer `rm.case2_start/len` indexes into.
+    /// the next arena slot (which must be `rm.m`), union-find and root-metadata
+    /// bookkeeping, and the pre-solved Case-1/Case-2 edge re-encodings in `case2`.
     pub(crate) fn commit_merge(&mut self, rm: &ResolvedMerge, case2: &[Case2Record]) {
         let (a, b, m) = (rm.a, rm.b, rm.m);
         debug_assert!(self.roots.contains_key(&a) && self.roots.contains_key(&b) && a != b);
         self.log_retire(a);
         self.log_retire(b);
         let cross_ab = rm.cross_ab;
-        let case2 = &case2[rm.case2_start..rm.case2_start + rm.case2_len];
 
-        // Structural merge into the chosen slot.
-        self.summary.merge_roots_at(a, b, m);
+        // Structural merge into the next arena slot.
+        let slot = self.summary.merge_roots(a, b);
+        debug_assert_eq!(slot, m, "a resolved merge commits into the next arena slot");
 
-        // Union-find bookkeeping.  Forced slots can lie beyond the current vector
-        // end; intermediate entries are initialized to themselves and overwritten
-        // when their own commit arrives.
-        if self.dsu_parent.len() <= m as usize {
-            let mut next = self.dsu_parent.len() as SupernodeId;
-            self.dsu_parent.resize_with(m as usize + 1, || {
-                let id = next;
-                next += 1;
-                id
-            });
-        }
-        self.dsu_parent[m as usize] = m;
+        // Union-find bookkeeping.
+        debug_assert_eq!(self.dsu_parent.len(), m as usize);
+        self.dsu_parent.push(m);
         let rep_a = self.find(a);
         let rep_b = self.find(b);
         self.dsu_parent[rep_a as usize] = m;

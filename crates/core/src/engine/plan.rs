@@ -40,14 +40,6 @@
 //! [`PlanningEngine::panel_blocks_built`] and
 //! [`PlanningEngine::panel_blocks_served`] count misses and hits; being per set,
 //! both are a pure function of the set and its RNG stream.
-//!
-//! # Replay mode
-//!
-//! The same overlay also powers the conflict-partitioned parallel **apply** stage
-//! ([`super::apply`]): `PlanningEngine::for_replay` starts the local arena at a
-//! *forced* id (the slot the authoritative serial replay would allocate), so
-//! replaying a plan's merges resolves them against concrete, authoritative ids —
-//! committing those resolutions is then byte-identical to the serial path.
 
 use super::view::{self, Block, BlockSource, MergeView};
 use super::{
@@ -186,10 +178,9 @@ impl PlanScratch {
 /// Copy-on-write planning overlay over a frozen engine (see the module docs).
 pub struct PlanningEngine<'a> {
     base: &'a MergeEngine,
-    /// First id of the overlay's local arena: the frozen arena length when planning,
-    /// or a forced slot when replaying for the parallel apply stage.  Ids in
+    /// First id of the overlay's local arena: the frozen arena length.  Ids in
     /// `local_start..local_start + local.len()` are local; everything else resolves
-    /// through the frozen (plus already-committed) authoritative state.
+    /// through the frozen state.
     local_start: usize,
     scratch: &'a mut PlanScratch,
 }
@@ -200,35 +191,6 @@ impl<'a> PlanningEngine<'a> {
     pub fn new(
         base: &'a MergeEngine,
         tracked: &[SupernodeId],
-        scratch: &'a mut PlanScratch,
-    ) -> Self {
-        let local_start = base.summary().arena_len();
-        Self::with_start(base, tracked, local_start, scratch)
-    }
-
-    /// Builds a replay overlay whose local arena starts at the forced id
-    /// `local_start` (the slot the serial replay would allocate for this plan's
-    /// first merge; see [`super::apply`]).
-    pub(crate) fn for_replay(
-        base: &'a MergeEngine,
-        tracked: &[SupernodeId],
-        local_start: usize,
-        scratch: &'a mut PlanScratch,
-    ) -> Self {
-        // Earlier-committed batches may already have grown the arena past this
-        // plan's forced slots; those slots must then still be unfilled placeholders.
-        debug_assert!(
-            local_start >= base.summary().arena_len()
-                || !base.summary().is_alive(local_start as SupernodeId),
-            "forced replay slot {local_start} is already occupied"
-        );
-        Self::with_start(base, tracked, local_start, scratch)
-    }
-
-    fn with_start(
-        base: &'a MergeEngine,
-        tracked: &[SupernodeId],
-        local_start: usize,
         scratch: &'a mut PlanScratch,
     ) -> Self {
         scratch.reset();
@@ -245,7 +207,7 @@ impl<'a> PlanningEngine<'a> {
         }
         PlanningEngine {
             base,
-            local_start,
+            local_start: base.summary().arena_len(),
             scratch,
         }
     }
@@ -327,7 +289,6 @@ impl<'a> PlanningEngine<'a> {
     /// state.
     fn merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId {
         let MergeCtx { memo, scratch } = ctx;
-        scratch.case2.clear();
         let rm = view::resolve_merge_into(
             self,
             a,
@@ -341,17 +302,15 @@ impl<'a> PlanningEngine<'a> {
         rm.m
     }
 
-    /// Replays a merge (resolved by [`Self::merge`] or by the apply stage's recorded
-    /// replay) onto the overlay, mirroring [`MergeEngine::commit_merge`] on the
-    /// copy-on-write state.
-    pub(crate) fn apply_resolved(&mut self, rm: &ResolvedMerge, case2: &[Case2Record]) {
+    /// Replays a merge resolved by [`Self::merge`] onto the overlay, mirroring
+    /// [`MergeEngine::commit_merge`] on the copy-on-write state.
+    fn apply_resolved(&mut self, rm: &ResolvedMerge, case2: &[Case2Record]) {
         let (a, b, m) = (rm.a, rm.b, rm.m);
         debug_assert!(
             self.scratch.metas.contains_key(&a) && self.scratch.metas.contains_key(&b) && a != b,
             "planned merges must involve tracked roots"
         );
         debug_assert_eq!(m, self.next_id());
-        let case2 = &case2[rm.case2_start..rm.case2_start + rm.case2_len];
 
         // Structural merge in the local arena.
         let size = self.node_size(a) + self.node_size(b);
@@ -415,24 +374,6 @@ impl<'a> PlanningEngine<'a> {
 
         // Apply the Case-1/Case-2 re-encodings (shared with the engine's commit).
         view::replay_reencodings(self, rm, case2);
-    }
-
-    /// Resolves and replays one merge for the parallel apply stage, *recording* the
-    /// resolution: the Case-2 records are appended to `out` (not the per-call
-    /// scratch) and the returned [`ResolvedMerge`] references them, ready to be
-    /// committed verbatim on the authoritative engine.
-    pub(crate) fn replay_merge_recorded(
-        &mut self,
-        a: SupernodeId,
-        b: SupernodeId,
-        ctx: &mut MergeCtx,
-        out: &mut Vec<Case2Record>,
-    ) -> ResolvedMerge {
-        let MergeCtx { memo, scratch } = ctx;
-        let rm =
-            view::resolve_merge_into(self, a, b, self.next_id(), memo, &mut scratch.commons, out);
-        self.apply_resolved(&rm, out);
-        rm
     }
 }
 
@@ -758,22 +699,5 @@ mod tests {
         let mb = b.merge(2, 3, &mut ctx);
         assert_eq!(ma, mb);
         assert_eq!(a.root_meta(ma).cost(), b.root_meta(mb).cost());
-    }
-
-    #[test]
-    fn replay_overlay_allocates_forced_ids() {
-        let g = double_star();
-        let frozen = MergeEngine::new(&g);
-        let mut ctx = MergeCtx::new();
-        let mut scratch = PlanScratch::new();
-        let start = frozen.summary().arena_len() + 5;
-        let mut overlay = PlanningEngine::for_replay(&frozen, &[2, 3, 4], start, &mut scratch);
-        let mut case2 = Vec::new();
-        let rm = overlay.replay_merge_recorded(2, 3, &mut ctx, &mut case2);
-        assert_eq!(rm.m as usize, start);
-        let rm2 = overlay.replay_merge_recorded(rm.m, 4, &mut ctx, &mut case2);
-        assert_eq!(rm2.m as usize, start + 1);
-        assert!(MergeView::is_root(&overlay, rm2.m));
-        assert_eq!(overlay.node_size(rm2.m), 3);
     }
 }

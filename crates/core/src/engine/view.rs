@@ -421,15 +421,15 @@ pub(crate) fn case2_problem<V: MergeView + ?Sized>(
 
 /// Resolves one merge of roots `a` and `b` (which will become supernode `m`) against
 /// the *pre-merge* state of any [`MergeView`]: solves the Case-1 panel, gathers the
-/// Case-2 re-encodings of every common adjacent root (appended to `case2`; the
-/// returned record carries the `(start, len)` range), and snapshots everything a
-/// later application needs (panel children, old edges, cross-edge count).
+/// Case-2 re-encodings of every common adjacent root (`case2` is cleared and then
+/// holds exactly this merge's records), and snapshots everything a later
+/// application needs (panel children, old edges, cross-edge count).
 ///
 /// This is the read-only, expensive half of a merge application.  Both the
-/// authoritative [`MergeEngine`](super::MergeEngine) and the planning/replay overlay
+/// authoritative [`MergeEngine`](super::MergeEngine) and the planning overlay
 /// ([`super::plan::PlanningEngine`]) apply merges by resolving here first and then
-/// replaying the resolution onto their own state, which is what keeps the planning,
-/// serial-apply and parallel-apply paths byte-identical.
+/// replaying the resolution onto their own state, which is what keeps planning and
+/// apply byte-identical.
 pub(crate) fn resolve_merge_into<V: MergeView + ?Sized>(
     view: &V,
     a: SupernodeId,
@@ -445,7 +445,7 @@ pub(crate) fn resolve_merge_into<V: MergeView + ?Sized>(
     let (problem1, old1) = case1_problem(view, a, b);
     let sol1 = memo.case1(&problem1);
     sweep_commons(view, a, b, commons);
-    let case2_start = case2.len();
+    case2.clear();
     let yellow = case2_yellow(view, a, b);
     for &c in commons.iter() {
         let (problem2, old2) = case2_problem(view, &yellow, c);
@@ -467,8 +467,6 @@ pub(crate) fn resolve_merge_into<V: MergeView + ?Sized>(
         b_kids,
         sol1,
         old1,
-        case2_start,
-        case2_len: case2.len() - case2_start,
     }
 }
 
@@ -487,8 +485,8 @@ pub(crate) trait PnEdgeSink {
 /// supernodes).
 ///
 /// Shared by [`MergeEngine::commit_merge`](super::MergeEngine) and the overlay's
-/// replay so the two can never drift apart — the parallel apply stage's
-/// byte-identity contract rests on both paths applying the exact same edges.
+/// replay so the two can never drift apart: a plan only reproduces on the engine
+/// what it saved on the overlay if both apply the exact same edges.
 pub(crate) fn replay_reencodings<S: PnEdgeSink + ?Sized>(
     sink: &mut S,
     rm: &ResolvedMerge,

@@ -19,11 +19,9 @@
 //! 2. **Localize**: the *affected* roots are the current summary roots containing
 //!    an endpoint of any applied operation.  The **dirty set** is the affected
 //!    roots plus their summary-adjacent roots on the frozen pre-batch view whose
-//!    supernode holds at most [`IncrementalConfig::adjacent_cap`] subnodes — the
-//!    same touched-∪-adjacent footprint the parallel apply stage uses for conflict
-//!    partitioning ([`crate::engine::apply::plan_footprint`]).  Affected roots are
-//!    always dirty; the cap only bounds how much *context* is re-opened around
-//!    them.
+//!    supernode holds at most [`IncrementalConfig::adjacent_cap`] subnodes, i.e.
+//!    the touched ∪ adjacent roots.  Affected roots are always dirty; the cap
+//!    only bounds how much *context* is re-opened around them.
 //! 3. **Re-expand**: each affected root is dissolved **subtree-granularly**
 //!    ([`MergeEngine::dissolve_partial`]): only the ancestor spine of its touched
 //!    leaves is killed, the maximal intact sibling subtrees survive as split-out

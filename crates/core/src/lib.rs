@@ -29,9 +29,8 @@
 //!   application; doubles as the frozen iteration view the per-shard planning
 //!   overlays read through.
 //! * [`engine::apply`] — the **apply** reconciliation stage: replays per-shard merge
-//!   plans on the authoritative engine with exact cost bookkeeping — serially, or
-//!   across worker threads via conflict-partitioned batches with byte-identical
-//!   output.
+//!   plans on the authoritative engine with exact cost bookkeeping, serially in
+//!   ascending set-index order.
 //! * [`engine::plan`] — the copy-on-write planning overlay shard workers fork per
 //!   candidate set, backed by pooled scratch so steady-state planning never
 //!   allocates.

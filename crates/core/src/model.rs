@@ -243,59 +243,27 @@ impl HierarchicalSummary {
         out
     }
 
-    /// Allocates a fresh internal supernode with the given children, whose members are
-    /// the union of the children's members.  The children must currently be roots.
-    /// Returns the new supernode's id.
+    /// Appends a fresh internal supernode (the next arena slot) with the given
+    /// children, whose members are the union of the children's members.  The
+    /// children must currently be roots.  Returns the new supernode's id.
     pub fn merge_roots(&mut self, a: SupernodeId, b: SupernodeId) -> SupernodeId {
-        let id = self.supernodes.len() as SupernodeId;
-        self.merge_roots_at(a, b, id)
-    }
-
-    /// [`HierarchicalSummary::merge_roots`] writing the merged supernode into a
-    /// *caller-chosen* arena slot `id`.
-    ///
-    /// The conflict-partitioned parallel apply stage ([`crate::engine::apply`])
-    /// commits independent merge batches out of set-index order but must end up with
-    /// the *identical* arena the serial ascending-set-index replay would build, so
-    /// every merge's slot is precomputed and forced here.  Slots between the current
-    /// arena end and `id` are filled with dead placeholders; each of them is
-    /// overwritten by exactly one later commit of the same apply stage, so the arena
-    /// is dense again (and every placeholder alive) by the time any iterator runs.
-    pub fn merge_roots_at(
-        &mut self,
-        a: SupernodeId,
-        b: SupernodeId,
-        id: SupernodeId,
-    ) -> SupernodeId {
         assert!(
             self.is_root(a) && self.is_root(b),
             "merge_roots requires two roots"
         );
         assert_ne!(a, b, "cannot merge a root with itself");
-        let idx = id as usize;
-        if idx >= self.supernodes.len() {
-            self.supernodes.resize_with(idx + 1, || Supernode {
-                parent: None,
-                children: Vec::new(),
-                members: Vec::new(),
-                alive: false,
-            });
-            self.incidence.resize_with(idx + 1, FxHashSet::default);
-        }
-        debug_assert!(
-            !self.supernodes[idx].alive,
-            "forced arena slot {id} is already occupied"
-        );
+        let id = self.supernodes.len() as SupernodeId;
         let members = merge_sorted(
             &self.supernodes[a as usize].members,
             &self.supernodes[b as usize].members,
         );
-        self.supernodes[idx] = Supernode {
+        self.supernodes.push(Supernode {
             parent: None,
             children: vec![a.min(b), a.max(b)],
             members,
             alive: true,
-        };
+        });
+        self.incidence.push(FxHashSet::default());
         self.supernodes[a as usize].parent = Some(id);
         self.supernodes[b as usize].parent = Some(id);
         id
@@ -539,12 +507,6 @@ impl HierarchicalSummary {
     /// invariant) behaves identically on the compacted summary — which is what
     /// lets the incremental engine compact mid-stream without changing subsequent
     /// outputs.
-    ///
-    /// Must not be called while forced-slot placeholders from a parallel apply
-    /// stage are pending ([`HierarchicalSummary::merge_roots_at`]): a placeholder
-    /// is a dead slot that is *about* to be written, and compaction would reclaim
-    /// it.  The engine only compacts between batches, when the arena is fully
-    /// committed.
     ///
     /// Returns the old-id → new-id [`CompactionMap`].
     pub fn compact(&mut self) -> CompactionMap {
@@ -805,39 +767,6 @@ mod tests {
         assert_eq!(s.root_of(3), 3);
         assert_eq!(s.leaf_depths(), vec![2, 2, 1, 0]);
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn merge_roots_at_fills_gaps_with_dead_placeholders() {
-        let mut s = HierarchicalSummary::identity(6);
-        // Forced commit out of allocation order: slot 8 first, then the gap slots.
-        let late = s.merge_roots_at(0, 1, 8);
-        assert_eq!(late, 8);
-        assert!(s.is_root(8));
-        assert_eq!(s.members(8), &[0, 1]);
-        for gap in 6..8u32 {
-            assert!(
-                !s.is_alive(gap),
-                "gap slot {gap} must be a dead placeholder"
-            );
-        }
-        assert_eq!(s.num_h_edges(), 2, "placeholders contribute no h-edges");
-        let early = s.merge_roots_at(2, 3, 6);
-        let mid = s.merge_roots_at(4, 5, 7);
-        assert_eq!((early, mid), (6, 7));
-        // Arena dense and consistent again once every slot is committed.
-        assert_eq!(s.arena_len(), 9);
-        s.validate().unwrap();
-        // The same sequence committed in ascending order yields the same arena.
-        let mut ordered = HierarchicalSummary::identity(6);
-        ordered.merge_roots_at(2, 3, 6);
-        ordered.merge_roots_at(4, 5, 7);
-        ordered.merge_roots_at(0, 1, 8);
-        for id in 0..9u32 {
-            assert_eq!(s.parent(id), ordered.parent(id));
-            assert_eq!(s.children(id), ordered.children(id));
-            assert_eq!(s.members(id), ordered.members(id));
-        }
     }
 
     #[test]

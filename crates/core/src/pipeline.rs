@@ -17,10 +17,8 @@
 //!    the frozen view, drawing randomness from a per-set stream ([`set_rng`], seeded
 //!    by `(seed, iteration, set_index)`);
 //! 4. **apply** — the plans are reconciled onto the authoritative state
-//!    ([`crate::engine::apply`]), keeping cost bookkeeping exact: serially in
-//!    ascending set-index order on one thread, or through conflict-partitioned
-//!    batches (resolved in parallel, committed into precomputed arena slots) on
-//!    worker threads — byte-identical to the serial replay either way;
+//!    ([`crate::engine::apply`]), keeping cost bookkeeping exact: one serial
+//!    replay in ascending set-index order, whatever the thread count;
 //! 5. **prune** — after the last iteration, pruning runs as before
 //!    ([`crate::prune`]).
 //!

@@ -11,7 +11,7 @@
 //! runs the same pass over its dirty region, with its persistent candidate index.
 
 use crate::candidates::{candidate_sets_with, CandidateConfig, CandidateIndex, CandidateScratch};
-use crate::engine::apply::{apply_plans_with, ApplyWorkers, SetPlan};
+use crate::engine::apply::{apply_plans, SetPlan};
 use crate::engine::plan::{PlanScratch, PlanningEngine};
 use crate::engine::{MergeCtx, MergeEngine};
 use crate::incremental::pass_shingle_seed;
@@ -51,9 +51,9 @@ pub struct SluggerConfig {
     /// [`SluggerConfig::parallelism`] ever changes the summary.
     #[serde(default = "default_shards")]
     pub shards: usize,
-    /// How many OS threads execute the shards (and, above one, the
-    /// conflict-partitioned parallel apply stage).  Pure throughput knob: for a
-    /// fixed seed every setting produces the identical summary.
+    /// How many OS threads execute the shards and the candidate-generation fold
+    /// (the apply stage is always one serial replay).  Pure throughput knob: for
+    /// a fixed seed every setting produces the identical summary.
     #[serde(default)]
     pub parallelism: Parallelism,
 }
@@ -136,12 +136,6 @@ pub struct StageProfile {
     /// Dirty-region dissolution and leaf-edge restoration (streaming step 3) —
     /// zero for batch runs.
     pub dissolve: std::time::Duration,
-    /// Conflict batches executed by the parallel apply stage, summed over all
-    /// iterations (0 when the serial replay ran; see `engine::apply`).
-    pub apply_batches: usize,
-    /// Plans that went through the conflict-partitioned parallel apply path,
-    /// summed over all iterations.
-    pub apply_batched_plans: usize,
 }
 
 /// Result of a SLUGGER run: the summary plus bookkeeping used by the experiments.
@@ -254,14 +248,13 @@ impl Slugger {
 /// region, with its persistent [`CandidateIndex`].
 ///
 /// The pass owns the state that warms up across passes: the planner pool, the
-/// parallel-apply workers, the apply-side [`MergeCtx`] and the candidate scratch.
+/// apply-side [`MergeCtx`] and the candidate scratch.
 /// None of it ever changes the output (see `SluggerShardWorker::reset`), so
 /// encoder memos and overlay pools warm up once per run or stream, not once per
 /// pass.
 pub(crate) struct MergePass {
     config: SluggerConfig,
     planner_pool: PlannerPool<SluggerPlanner>,
-    apply_workers: ApplyWorkers,
     ctx: MergeCtx,
     candidate_scratch: CandidateScratch,
 }
@@ -273,7 +266,6 @@ impl MergePass {
         MergePass {
             config,
             planner_pool: PlannerPool::new(),
-            apply_workers: ApplyWorkers::new(),
             ctx: MergeCtx::new(),
             candidate_scratch: CandidateScratch::default(),
         }
@@ -351,21 +343,11 @@ impl MergePass {
             &mut self.planner_pool,
         );
         stages.plan += stage_start.elapsed();
-        // …then reconcile the plans on the authoritative engine: serially in set
-        // order for one thread, or through conflict-partitioned batches (with a
-        // byte-identical result) when worker threads are available.
+        // …then replay the plans on the authoritative engine, serially in set order.
         let arena_before = engine.summary().arena_len() as SupernodeId;
         let stage_start = std::time::Instant::now();
-        let (stats, profile) = apply_plans_with(
-            engine,
-            &mut self.ctx,
-            &mut self.apply_workers,
-            &plans,
-            config.parallelism.threads(),
-        );
+        let stats = apply_plans(engine, &mut self.ctx, &plans);
         stages.apply += stage_start.elapsed();
-        stages.apply_batches += profile.batches;
-        stages.apply_batched_plans += profile.batched_plans;
         self.planner_pool.recycle_plans(plans);
         let summary = engine.summary();
         roots.retain(|&r| summary.is_root(r));

@@ -1,8 +1,10 @@
-//! Output-invariance regression tests for the conflict-partitioned parallel apply
-//! stage: sweeping `parallelism × shards` through the pipeline must produce a
-//! summary **byte-identical** to the serial ascending-set-index replay — not merely
-//! cost-equal, but identical arena structure (ids, parents, children, members,
-//! liveness) and identical p/n-edge content.
+//! Output-invariance regression tests for the merge pipeline: sweeping
+//! `parallelism × shards` (which vary planning and the candidate fold) must
+//! produce, against the sequential single-shard run whose plans are replayed
+//! serially in ascending set-index order, a summary that is **byte-identical** —
+//! not merely cost-equal, but identical arena structure (ids, parents, children,
+//! members, liveness) and identical p/n-edge content — and the same
+//! per-iteration trajectory (merges, costs, roots and panel-block counters).
 
 use slugger_core::testsupport::{canonical, lattice};
 use slugger_core::{Parallelism, Slugger, SluggerConfig};
@@ -50,8 +52,8 @@ fn config(parallelism: Parallelism, shards: usize, seed: u64) -> SluggerConfig {
 fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
     for (name, graph) in graphs() {
         let seed = 3u64;
-        // `parallelism = 1` takes the serial ascending-set-index replay: the
-        // reference the conflict-partitioned path must reproduce exactly.
+        // Sequential planning and candidate fold: the reference every lattice
+        // point must reproduce exactly.
         let baseline = Slugger::new(config(Parallelism::Sequential, 8, seed)).summarize(&graph);
         let expected = canonical(&baseline.summary);
         assert!(
@@ -84,14 +86,6 @@ fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
                     (b.panel_blocks_built, b.panel_blocks_served),
                     "{name}: iteration {}",
                     a.iteration
-                );
-            }
-            if point.threads > 1 {
-                assert!(
-                    outcome.stages.apply_batched_plans > 0,
-                    "{name}: the parallel apply path must actually run at \
-                     parallelism {}",
-                    point.threads
                 );
             }
         }

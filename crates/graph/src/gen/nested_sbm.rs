@@ -139,6 +139,7 @@ fn sample_pairs_within(
         return;
     }
     let log1mp = (1.0 - p).ln();
+    let mut pairs = PairCursor::new(range);
     let mut idx: u64 = 0;
     loop {
         let r: f64 = rng.random::<f64>();
@@ -147,7 +148,7 @@ fn sample_pairs_within(
         if idx >= total_pairs {
             break;
         }
-        let (u, v) = pair_from_index(idx, range);
+        let (u, v) = pairs.pair(idx);
         builder.add_edge(lo + u as NodeId, lo + v as NodeId);
         idx += 1;
         if idx >= total_pairs {
@@ -156,20 +157,38 @@ fn sample_pairs_within(
     }
 }
 
-/// Maps a linear index in `[0, C(range, 2))` to an unordered pair `(u, v)` with
-/// `u < v < range`, enumerating pairs row by row.
-fn pair_from_index(index: u64, range: u64) -> (u64, u64) {
-    // Row u contributes (range - 1 - u) pairs.  Find the row by solving the triangular
-    // inequality; a simple loop is fine because ranges here are block widths.
-    let mut u = 0u64;
-    let mut remaining = index;
-    loop {
-        let row = range - 1 - u;
-        if remaining < row {
-            return (u, u + 1 + remaining);
+/// Maps the linear indices in `[0, C(range, 2))` of one sampling pass to unordered
+/// pairs `(u, v)` with `u < v < range`, enumerating pairs row by row.
+///
+/// A pass asks for ascending indices, so the row only moves forward and the whole
+/// pass costs O(range + samples); the top block spans the whole graph, so a per-sample
+/// row search would cost O(range) for each of its edges.
+struct PairCursor {
+    range: u64,
+    /// Current row.
+    u: u64,
+    /// Linear index of row `u`'s first pair.
+    row_start: u64,
+}
+
+impl PairCursor {
+    fn new(range: u64) -> Self {
+        PairCursor {
+            range,
+            u: 0,
+            row_start: 0,
         }
-        remaining -= row;
-        u += 1;
+    }
+
+    /// The pair at `index`, which must not be below any earlier index asked for.
+    fn pair(&mut self, index: u64) -> (u64, u64) {
+        debug_assert!(index >= self.row_start, "indices must not decrease");
+        // Row u contributes (range - 1 - u) pairs.
+        while index - self.row_start >= self.range - 1 - self.u {
+            self.row_start += self.range - 1 - self.u;
+            self.u += 1;
+        }
+        (self.u, self.u + 1 + (index - self.row_start))
     }
 }
 
@@ -181,13 +200,18 @@ mod tests {
     fn pair_index_enumerates_all_pairs() {
         let range = 7u64;
         let total = range * (range - 1) / 2;
-        let mut seen = std::collections::HashSet::new();
-        for idx in 0..total {
-            let (u, v) = pair_from_index(idx, range);
-            assert!(u < v && v < range);
-            assert!(seen.insert((u, v)));
+        let mut cursor = PairCursor::new(range);
+        let pairs: Vec<(u64, u64)> = (0..total).map(|idx| cursor.pair(idx)).collect();
+        // Row by row: index order is the lexicographic order of the pairs.
+        let rows: Vec<(u64, u64)> = (0..range)
+            .flat_map(|u| (u + 1..range).map(move |v| (u, v)))
+            .collect();
+        assert_eq!(pairs, rows);
+        // Skipping indices, as sampling does, lands on the same pairs.
+        let mut skipping = PairCursor::new(range);
+        for idx in (0..total).step_by(4) {
+            assert_eq!(skipping.pair(idx), rows[idx as usize]);
         }
-        assert_eq!(seen.len() as u64, total);
     }
 
     #[test]
