@@ -9,17 +9,18 @@
 //! computes the optimal `P`, `C+`, `C−` for the resulting grouping.
 //!
 //! The per-iteration execution runs on the **same sharded pipeline substrate as
-//! SLUGGER** ([`slugger_core::pipeline`]): shingle groups are dealt across worker
-//! shards, each shard plans its merges on a clone of the frozen grouping with a
-//! per-group RNG stream, and the planned merges are replayed on the authoritative
-//! grouping in deterministic group order.  [`SwegConfig::parallelism`] only chooses
-//! the thread count and never changes the result.
+//! SLUGGER** ([`slugger_core::pipeline`]): shingle groups are dealt across a fixed
+//! number of worker shards, each shard plans its merges on a clone of the frozen
+//! grouping with a per-group RNG stream, and the planned merges are replayed on
+//! the authoritative grouping in deterministic group order.
+//! [`SwegConfig::parallelism`] only chooses the thread count and never changes
+//! the result.
 
 use crate::flat::{merge_saving, FlatSummary, GroupId, Grouping};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use slugger_core::pipeline::{plan_shards, set_rng, Parallelism, ShardWorker, DEFAULT_SHARDS};
+use slugger_core::pipeline::{plan_shards, set_rng, Parallelism, ShardWorker};
 use slugger_graph::hash::{hash_node_with_seed, FxHashMap};
 use slugger_graph::{Graph, NodeId};
 
@@ -32,9 +33,6 @@ pub struct SwegConfig {
     pub max_group_size: usize,
     /// Random seed.
     pub seed: u64,
-    /// Worker shards per iteration (deterministic structure, like
-    /// [`slugger_core::SluggerConfig::shards`]).
-    pub shards: usize,
     /// Thread knob for shard execution; never affects results.
     pub parallelism: Parallelism,
 }
@@ -45,19 +43,22 @@ impl Default for SwegConfig {
             iterations: 20,
             max_group_size: 500,
             seed: 0,
-            shards: DEFAULT_SHARDS,
             parallelism: Parallelism::Sequential,
         }
     }
 }
+
+/// Worker shards per iteration.  SWeG's output depends on it (see
+/// `SwegShardWorker`), so it is fixed rather than following the thread count.
+const SHARDS: usize = 8;
 
 /// SWeG's shard worker: the frozen grouping of the iteration; forking clones it.
 ///
 /// Unlike SLUGGER (which plans each set on a copy-on-write overlay), SWeG pays one
 /// O(|V|) `Grouping` clone per non-empty shard per iteration — cheap next to the
 /// SuperJaccard evaluations, and what makes a shard's plan self-consistent across
-/// its groups.  Consequently SWeG's output *does* depend on `shards` (but never on
-/// the thread count).
+/// its groups.  Consequently SWeG's output *does* depend on the shard count (but
+/// never on the thread count).
 struct SwegShardWorker<'a> {
     graph: &'a Graph,
     view: &'a Grouping,
@@ -104,7 +105,7 @@ pub fn sweg_summarize(graph: &Graph, config: &SwegConfig) -> FlatSummary {
         let plans = plan_shards(
             &worker,
             &groups,
-            config.shards,
+            SHARDS,
             config.parallelism,
             &|group_index| set_rng(config.seed, t, group_index),
         );

@@ -7,7 +7,7 @@ use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ExperimentScale::from_args(args.clone());
+    let scale = ExperimentScale::from_env();
     let output = args
         .iter()
         .position(|a| a == "--output")

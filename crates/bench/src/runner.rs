@@ -89,9 +89,6 @@ pub struct ExperimentScale {
     /// Worker threads for the sharded merge pipeline (`--threads N`; 1 = sequential,
     /// 0 = one per CPU).  Never changes results, only wall-clock time.
     pub threads: usize,
-    /// Worker shards per pipeline iteration (`--shards N`; scheduling granularity).
-    /// Never changes results either.
-    pub shards: usize,
 }
 
 impl Default for ExperimentScale {
@@ -103,34 +100,22 @@ impl Default for ExperimentScale {
             datasets: None,
             quick: false,
             threads: 1,
-            shards: slugger_core::pipeline::DEFAULT_SHARDS,
         }
     }
 }
 
 impl ExperimentScale {
     /// Parses the harness command-line flags (unknown flags are ignored so binaries can
-    /// add their own).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// add their own).  A numeric flag with a missing or malformed value is an error
+    /// that names the flag.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = ExperimentScale::default();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--scale" => {
-                    if let Some(v) = iter.next() {
-                        out.scale = v.parse().unwrap_or(out.scale);
-                    }
-                }
-                "--iterations" | "-T" => {
-                    if let Some(v) = iter.next() {
-                        out.iterations = v.parse().unwrap_or(out.iterations);
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = iter.next() {
-                        out.seed = v.parse().unwrap_or(out.seed);
-                    }
-                }
+                "--scale" => out.scale = parse_number(&arg, iter.next())?,
+                "--iterations" | "-T" => out.iterations = parse_number(&arg, iter.next())?,
+                "--seed" => out.seed = parse_number(&arg, iter.next())?,
                 "--datasets" => {
                     if let Some(v) = iter.next() {
                         let keys: Vec<DatasetKey> = v
@@ -146,16 +131,7 @@ impl ExperimentScale {
                         }
                     }
                 }
-                "--threads" => {
-                    if let Some(v) = iter.next() {
-                        out.threads = v.parse().unwrap_or(out.threads);
-                    }
-                }
-                "--shards" => {
-                    if let Some(v) = iter.next() {
-                        out.shards = v.parse().unwrap_or(out.shards);
-                    }
-                }
+                "--threads" => out.threads = parse_number(&arg, iter.next())?,
                 "--quick" => {
                     out.quick = true;
                     out.scale = out.scale.min(0.25);
@@ -164,12 +140,16 @@ impl ExperimentScale {
                 _ => {}
             }
         }
-        out
+        Ok(out)
     }
 
-    /// Parses from the process arguments (skipping the program name).
+    /// Parses from the process arguments (skipping the program name); on a
+    /// malformed flag prints the error and exits with status 2.
     pub fn from_env() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
     }
 
     /// The dataset specs this run should cover, given the experiment's default list.
@@ -205,10 +185,17 @@ impl ExperimentScale {
             iterations: self.iterations,
             seed: self.seed,
             parallelism: self.parallelism(),
-            shards: self.shards,
             ..SluggerConfig::default()
         }
     }
+}
+
+/// The value of numeric `flag`, or an error naming the flag when it is missing or
+/// does not parse.
+fn parse_number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let raw = value.ok_or_else(|| format!("{flag} expects a number"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag} expects a number, got {raw:?}"))
 }
 
 /// Runs a single algorithm on a graph with the paper's parameter settings and returns
@@ -238,7 +225,6 @@ pub fn run_algorithm(graph: &Graph, algorithm: Algorithm, scale: &ExperimentScal
                     max_group_size: 500,
                     seed: scale.seed,
                     parallelism: scale.parallelism(),
-                    ..SwegConfig::default()
                 },
             );
             flat_result(algorithm, start, &summary)
@@ -321,7 +307,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert!((scale.scale - 0.5).abs() < 1e-12);
         assert_eq!(scale.iterations, 7);
         assert_eq!(scale.seed, 42);
@@ -331,7 +318,7 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_everything() {
-        let scale = ExperimentScale::from_args(["--quick".to_string()]);
+        let scale = ExperimentScale::from_args(["--quick".to_string()]).unwrap();
         assert!(scale.quick);
         assert!(scale.scale <= 0.25);
         assert!(scale.iterations <= 5);
@@ -344,8 +331,22 @@ mod tests {
             ["--whatever", "--scale", "2.0"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert!((scale.scale - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn malformed_numeric_flags_are_rejected_by_name() {
+        let parse = |args: &[&str]| ExperimentScale::from_args(args.iter().map(|s| s.to_string()));
+        assert_eq!(parse(&["--threads", "4"]).unwrap().threads, 4);
+        let err = parse(&["--threads", "8x"]).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("8x"), "{err}");
+        for flag in ["--scale", "--iterations", "-T", "--seed"] {
+            let err = parse(&[flag, "x"]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        assert!(parse(&["--seed"]).unwrap_err().contains("--seed"));
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl NeighborAccess for SummaryNeighborView<'_> {
 /// crash recovery all renumber them without changing the summary *as a model*.
 /// Two summaries are interchangeable for every downstream consumer exactly when
 /// their canonical forms are equal — this is the equality the invariance test
-/// lattice pins across `parallelism × shards`, and the identity
+/// lattice pins across `parallelism` settings, and the identity
 /// [`crate::storage::durable`] recovery guarantees against an uninterrupted run.
 pub type CanonicalForm = (
     usize,

@@ -10,7 +10,7 @@
 //!
 //! Replay is serial, in ascending set-index order; that order *is* the pipeline's
 //! deterministic reconciliation contract, so the summary is identical for every
-//! `parallelism` / `shards` setting (pinned by `crates/core/tests/apply_invariance.rs`).
+//! `parallelism` setting (pinned by `crates/core/tests/apply_invariance.rs`).
 //!
 //! # Disjointness invariant
 //!

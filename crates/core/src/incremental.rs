@@ -53,13 +53,13 @@
 //! A stream run is a pure function of `(initial state, delta sequence, seed)`:
 //! dirty sets are computed in sorted order, dissolution removes edges in sorted
 //! order, and the pipeline stages inherit the output-invariance of
-//! [`crate::pipeline`] — neither [`IncrementalConfig::parallelism`] nor
-//! [`IncrementalConfig::shards`] ever changes the summary (pinned by
-//! `crates/core/tests/incremental_invariance.rs`).  Merge-planning RNG streams are
-//! indexed by a monotone *epoch* counter (total pipeline iterations so far), so no
-//! decision stream is ever reused across batches; shingle seeds are deliberately
-//! **batch-stable** ([`pass_shingle_seed`]) — pass `t` of every batch hashes with
-//! the same seed, which is what lets the persistent candidate index
+//! [`crate::pipeline`] — [`IncrementalConfig::parallelism`] never changes the
+//! summary (pinned by `crates/core/tests/incremental_invariance.rs`).
+//! Merge-planning RNG streams are indexed by a monotone *epoch* counter (total
+//! pipeline iterations so far), so no decision stream is ever reused across
+//! batches; shingle seeds are deliberately **batch-stable**
+//! ([`pass_shingle_seed`]) — pass `t` of every batch hashes with the same seed,
+//! which is what lets the persistent candidate index
 //! ([`IncrementalSummarizer::candidate_index`]) reuse clean roots' signatures
 //! across batches instead of re-shingling the unchanged world.
 //!
@@ -102,7 +102,7 @@
 use crate::candidates::CandidateIndex;
 use crate::engine::MergeEngine;
 use crate::model::{HierarchicalSummary, SupernodeId};
-use crate::pipeline::{Parallelism, DEFAULT_SHARDS};
+use crate::pipeline::Parallelism;
 use crate::prune::{prune_all, prune_region, PruneReport};
 use crate::slugger::MergePass;
 use crate::SluggerConfig;
@@ -149,8 +149,6 @@ pub struct IncrementalConfig {
     pub validate_every: usize,
     /// Random seed of the per-batch pipeline runs.
     pub seed: u64,
-    /// Worker shards per pipeline pass (pure scheduling, never changes output).
-    pub shards: usize,
     /// Worker threads (pure throughput, never changes output).
     pub parallelism: Parallelism,
 }
@@ -167,7 +165,6 @@ impl Default for IncrementalConfig {
             compact_dead_ratio: 0.5,
             validate_every: 0,
             seed: 0,
-            shards: DEFAULT_SHARDS,
             parallelism: Parallelism::Sequential,
         }
     }
@@ -375,7 +372,6 @@ impl IncrementalSummarizer {
                 max_shingle_splits: config.max_shingle_splits,
                 height_bound: config.height_bound,
                 seed: config.seed,
-                shards: config.shards,
                 parallelism: config.parallelism,
                 ..SluggerConfig::default()
             }),

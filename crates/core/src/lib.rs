@@ -43,9 +43,10 @@
 //!   ([`merge::plan_candidate_set`]) and direct ([`merge::process_candidate_set`])
 //!   form.
 //! * [`pipeline`] — the stage-based sharded execution substrate (candidates → shard
-//!   → merge → apply → prune): deterministic set-to-shard partitioning, per-set RNG
-//!   streams seeded by `(seed, iteration, set_index)`, and the [`pipeline::Parallelism`]
-//!   thread knob, which never changes results.  Shared with the SWeG baseline.
+//!   → merge → apply → prune): deterministic set-to-shard partitioning (SLUGGER
+//!   plans one shard per worker thread), per-set RNG streams seeded by
+//!   `(seed, iteration, set_index)`, and the [`pipeline::Parallelism`] thread
+//!   knob, which never changes results.  Shared with the SWeG baseline.
 //! * [`prune`] — the three pruning substeps (Sect. III-B4, Algorithm 3); the final
 //!   pipeline stage.  Generic over [`prune::PruneHost`], so the same substeps run
 //!   on a bare summary (batch path) or through the live engine's bookkeeping
@@ -57,7 +58,7 @@
 //!   verification.
 //! * [`metrics`] — output-size and hierarchy statistics used by the experiments.
 //! * [`testsupport`] — the canonical-form comparison and the
-//!   `parallelism × shards` lattice shared by the invariance test suites (and by
+//!   thread-count lattice shared by the invariance test suites (and by
 //!   downstream crates' tests); not part of the stable algorithmic surface.
 
 #![forbid(unsafe_code)]

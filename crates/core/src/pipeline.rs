@@ -9,9 +9,11 @@
 //!    shingle cache ([`crate::candidates::CandidateIndex`]) that re-hashes only
 //!    the roots structural events invalidated — same output, dirty-proportional
 //!    cost;
-//! 2. **shard** — [`partition_sets`] deals whole candidate sets onto `shards` worker
-//!    shards by longest-processing-time scheduling over the estimated per-set cost
-//!    (a set is never split, so merges never cross shards);
+//! 2. **shard** — [`partition_sets`] deals whole candidate sets onto worker shards
+//!    by longest-processing-time scheduling over the estimated per-set cost (a set
+//!    is never split, so merges never cross shards).  SLUGGER plans one shard per
+//!    worker thread, so `Parallelism::Sequential` plans a single shard in
+//!    ascending set order;
 //! 3. **merge** — each shard forks per-shard scratch state ([`ShardWorker::fork`],
 //!    for SLUGGER just an encoder memo) and plans each of its sets' merges against
 //!    the frozen view, drawing randomness from a per-set stream ([`set_rng`], seeded
@@ -25,25 +27,18 @@
 //! # Determinism
 //!
 //! SLUGGER's output is a pure function of `(input graph, seed)`: every candidate set
-//! is planned against the frozen view with its own RNG stream, so neither the shard
-//! count nor the [`Parallelism`] knob (how many OS threads execute the shards)
-//! changes the summary — `Parallelism::Sequential` and `Parallelism::Fixed(8)`
-//! produce **identical** results, the property the pipeline tests pin down.
+//! is planned against the frozen view with its own RNG stream, so the
+//! [`Parallelism`] knob (how many OS threads execute the shards) never changes the
+//! summary — `Parallelism::Sequential` and `Parallelism::Fixed(8)` produce
+//! **identical** results, the property the pipeline tests pin down.
 //! (An algorithm whose [`ShardWorker::fork`] state accumulates across a shard's sets
 //! — the SWeG baseline clones its grouping per shard — additionally depends on the
-//! shard count, but still never on the thread count.)
+//! shard count, which it therefore fixes, but still never on the thread count.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use slugger_graph::hash::hash_u64_with_seed;
-
-/// Default number of worker shards per iteration.
-///
-/// A scheduling-granularity knob, *not* a thread count: the same shard structure is
-/// used no matter how many threads execute it.  More shards = finer load balancing
-/// but less per-shard memo locality.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// How many OS threads execute the shards of an iteration.
 ///

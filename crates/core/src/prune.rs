@@ -55,7 +55,7 @@
 //! order and each root pair's re-encoding depends only on that pair's edges, so the
 //! result is a pure function of the model's content — never of hash-map layout.
 //! This is what lets the streaming invariance tests pin byte-identical summaries
-//! across `parallelism × shards` settings even with pruning enabled.
+//! across `parallelism` settings even with pruning enabled.
 
 use crate::model::{EdgeSign, HierarchicalSummary, SupernodeId};
 use slugger_graph::{AdjacencyList, NodeId};

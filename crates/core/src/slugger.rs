@@ -3,12 +3,12 @@
 //!
 //! Each iteration is one merge pass (`MergePass`) through the sharded pipeline of
 //! [`crate::pipeline`] (candidates → shard → merge → apply): candidate sets are
-//! dealt across [`SluggerConfig::shards`] worker shards, each set's merges are
-//! planned on a copy-on-write overlay of the iteration's frozen engine, and the
-//! plans are replayed on the authoritative engine in deterministic order.
-//! [`SluggerConfig::parallelism`] picks how many threads execute the shards and
-//! never changes the result.  The streaming maintainer ([`crate::incremental`])
-//! runs the same pass over its dirty region, with its persistent candidate index.
+//! dealt across one shard per worker thread, each set's merges are planned on a
+//! copy-on-write overlay of the iteration's frozen engine, and the plans are
+//! replayed on the authoritative engine in deterministic order.
+//! [`SluggerConfig::parallelism`] picks the thread count and never changes the
+//! result.  The streaming maintainer ([`crate::incremental`]) runs the same pass
+//! over its dirty region, with its persistent candidate index.
 
 use crate::candidates::{candidate_sets_with, CandidateConfig, CandidateIndex, CandidateScratch};
 use crate::engine::apply::{apply_plans, SetPlan};
@@ -18,9 +18,7 @@ use crate::incremental::pass_shingle_seed;
 use crate::merge::{merging_threshold, plan_candidate_set, MergeOptions, MergeStats};
 use crate::metrics::SummaryMetrics;
 use crate::model::{HierarchicalSummary, SupernodeId};
-use crate::pipeline::{
-    plan_shards_pooled, set_rng, Parallelism, PlannerPool, ShardWorker, DEFAULT_SHARDS,
-};
+use crate::pipeline::{plan_shards_pooled, set_rng, Parallelism, PlannerPool, ShardWorker};
 use crate::prune::{prune_all, PruneReport};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -45,25 +43,13 @@ pub struct SluggerConfig {
     pub pruning_rounds: usize,
     /// Random seed controlling candidate grouping and pivot selection.
     pub seed: u64,
-    /// Number of worker shards candidate sets are dealt across per iteration.  A pure
-    /// scheduling/memo-locality knob: every candidate set is planned against the same
-    /// frozen iteration view with its own RNG stream, so neither this nor
-    /// [`SluggerConfig::parallelism`] ever changes the summary.
-    #[serde(default = "default_shards")]
-    pub shards: usize,
-    /// How many OS threads execute the shards and the candidate-generation fold
-    /// (the apply stage is always one serial replay).  Pure throughput knob: for
-    /// a fixed seed every setting produces the identical summary.
+    /// How many OS threads plan the candidate sets (one shard each) and run the
+    /// candidate-generation fold (the apply stage is always one serial replay).
+    /// Pure throughput knob: every candidate set is planned against the same
+    /// frozen iteration view with its own RNG stream, so for a fixed seed every
+    /// setting produces the identical summary.
     #[serde(default)]
     pub parallelism: Parallelism,
-}
-
-/// Serde fallback for configs serialized before the pipeline knobs existed.  Only
-/// referenced from the `#[serde(default = ...)]` attribute, which the vendored no-op
-/// derive ignores — hence the `dead_code` allowance until real serde is wired in.
-#[allow(dead_code)]
-fn default_shards() -> usize {
-    DEFAULT_SHARDS
 }
 
 impl Default for SluggerConfig {
@@ -75,7 +61,6 @@ impl Default for SluggerConfig {
             height_bound: None,
             pruning_rounds: 2,
             seed: 0,
-            shards: DEFAULT_SHARDS,
             parallelism: Parallelism::Sequential,
         }
     }
@@ -324,7 +309,7 @@ impl MergePass {
         stages.candidates += stage_start.elapsed();
         let config = &self.config;
         // Merge stage: plan every candidate set against the frozen engine (on
-        // copy-on-write overlays, sharded for scheduling)…
+        // copy-on-write overlays, one shard per worker thread)…
         let worker = SluggerShardWorker {
             view: &*engine,
             options: MergeOptions {
@@ -337,7 +322,7 @@ impl MergePass {
         let plans = plan_shards_pooled(
             &worker,
             &sets,
-            config.shards,
+            config.parallelism.threads(),
             config.parallelism,
             &|set_index| set_rng(seed, rng_index, set_index),
             &mut self.planner_pool,

@@ -45,7 +45,7 @@
 //! pins `(summary, epoch, batches)` and replay goes through the ordinary
 //! resummarize path, a kill-and-recover at *any* point produces a summary whose
 //! id-free canonical form is byte-identical to the uninterrupted run, across the
-//! whole `parallelism × shards` scheduling lattice (pinned by
+//! whole `parallelism` scheduling lattice (pinned by
 //! `crates/core/tests/durable_recovery.rs`).
 //!
 //! All I/O goes through the [`DurableIo`] trait.  [`DirIo`] is the real

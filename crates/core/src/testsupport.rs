@@ -2,7 +2,7 @@
 //!
 //! The byte-identity pins (`apply_invariance`, `incremental_invariance`,
 //! `query_snapshot`, `scenario_matrix`, ...) all compare summaries through the
-//! same canonical form and sweep the same `parallelism × shards` lattice, and
+//! same canonical form and sweep the same thread-count lattice, and
 //! the candidate-stage pins (`candidate_determinism`, `candidate_index`,
 //! `scenario_matrix`) all compare against the same naive candidate oracle
 //! ([`reference_candidate_sets`], checked against a live stream by
@@ -71,40 +71,30 @@ pub fn canonical(summary: &HierarchicalSummary) -> CanonicalSummary {
 /// Thread counts the invariance lattice sweeps.
 pub const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
 
-/// Shard counts the invariance lattice sweeps.
-pub const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
-
-/// One point of the `parallelism × shards` invariance lattice.
+/// One point of the thread-count invariance lattice.
 #[derive(Clone, Copy, Debug)]
 pub struct LatticePoint {
     /// The swept thread count (1 maps to [`Parallelism::Sequential`]).
     pub threads: usize,
     /// The pipeline parallelism setting for `threads`.
     pub parallelism: Parallelism,
-    /// The swept shard count.
-    pub shards: usize,
 }
 
-/// The full 12-point lattice: `threads {1, 2, 4, 8} × shards {1, 4, 16}`,
-/// threads-major, with `threads == 1` mapped to [`Parallelism::Sequential`]
-/// (the serial ascending-set-index replay every other point must reproduce).
+/// The 4-point lattice `threads {1, 2, 4, 8}`, with `threads == 1` mapped to
+/// [`Parallelism::Sequential`] (one shard planned in ascending set order, the
+/// result every other point must reproduce).
 pub fn lattice() -> Vec<LatticePoint> {
-    let mut points = Vec::with_capacity(PARALLELISM_LEVELS.len() * SHARD_COUNTS.len());
-    for &threads in &PARALLELISM_LEVELS {
-        for &shards in &SHARD_COUNTS {
-            let parallelism = if threads == 1 {
+    PARALLELISM_LEVELS
+        .iter()
+        .map(|&threads| LatticePoint {
+            threads,
+            parallelism: if threads == 1 {
                 Parallelism::Sequential
             } else {
                 Parallelism::Fixed(threads)
-            };
-            points.push(LatticePoint {
-                threads,
-                parallelism,
-                shards,
-            });
-        }
-    }
-    points
+            },
+        })
+        .collect()
 }
 
 /// Reference [`crate::candidates::shingles`]: the naive oracle of the
@@ -298,16 +288,15 @@ mod tests {
     use slugger_graph::Graph;
 
     #[test]
-    fn lattice_has_twelve_points_and_maps_one_to_sequential() {
+    fn lattice_has_four_points_and_maps_one_to_sequential() {
         let points = lattice();
-        assert_eq!(points.len(), 12);
+        assert_eq!(points.len(), 4);
         for p in &points {
             match p.parallelism {
                 Parallelism::Sequential => assert_eq!(p.threads, 1),
                 Parallelism::Fixed(n) => assert_eq!(n, p.threads),
                 other => panic!("unexpected lattice parallelism {other:?}"),
             }
-            assert!(SHARD_COUNTS.contains(&p.shards));
         }
     }
 

@@ -1,10 +1,11 @@
-//! Output-invariance regression tests for the merge pipeline: sweeping
-//! `parallelism × shards` (which vary planning and the candidate fold) must
-//! produce, against the sequential single-shard run whose plans are replayed
-//! serially in ascending set-index order, a summary that is **byte-identical** —
-//! not merely cost-equal, but identical arena structure (ids, parents, children,
-//! members, liveness) and identical p/n-edge content — and the same
-//! per-iteration trajectory (merges, costs, roots and panel-block counters).
+//! Output-invariance regression tests for the merge pipeline: sweeping the thread
+//! count (which varies planning, its one-shard-per-thread split and the
+//! candidate fold) must produce, against the sequential single-shard run whose
+//! plans are replayed serially in ascending set-index order, a summary that is
+//! **byte-identical** — not merely cost-equal, but identical arena structure
+//! (ids, parents, children, members, liveness) and identical p/n-edge content —
+//! and the same per-iteration trajectory (merges, costs, roots and panel-block
+//! counters).
 
 use slugger_core::testsupport::{canonical, lattice};
 use slugger_core::{Parallelism, Slugger, SluggerConfig};
@@ -36,14 +37,13 @@ fn graphs() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn config(parallelism: Parallelism, shards: usize, seed: u64) -> SluggerConfig {
+fn config(parallelism: Parallelism, seed: u64) -> SluggerConfig {
     SluggerConfig {
         iterations: 6,
         max_candidate_size: 64,
         max_shingle_splits: 5,
         seed,
         parallelism,
-        shards,
         ..SluggerConfig::default()
     }
 }
@@ -54,7 +54,7 @@ fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
         let seed = 3u64;
         // Sequential planning and candidate fold: the reference every lattice
         // point must reproduce exactly.
-        let baseline = Slugger::new(config(Parallelism::Sequential, 8, seed)).summarize(&graph);
+        let baseline = Slugger::new(config(Parallelism::Sequential, seed)).summarize(&graph);
         let expected = canonical(&baseline.summary);
         assert!(
             baseline
@@ -64,14 +64,12 @@ fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
             "{name}: the planner must serve panel blocks from its cache"
         );
         for point in lattice() {
-            let outcome =
-                Slugger::new(config(point.parallelism, point.shards, seed)).summarize(&graph);
+            let outcome = Slugger::new(config(point.parallelism, seed)).summarize(&graph);
             assert_eq!(
                 canonical(&outcome.summary),
                 expected,
-                "{name}: summary diverged at parallelism {}, shards {}",
-                point.threads,
-                point.shards
+                "{name}: summary diverged at parallelism {}",
+                point.threads
             );
             // The per-iteration trajectory must agree too (same merges, same
             // costs, in the same order).
@@ -96,10 +94,10 @@ fn parallel_apply_summary_is_byte_identical_across_parallelism_and_shards() {
 fn parallel_apply_handles_degenerate_graphs() {
     for parallelism in [Parallelism::Fixed(2), Parallelism::Fixed(8)] {
         let empty = Graph::empty(5);
-        let outcome = Slugger::new(config(parallelism, 4, 0)).summarize(&empty);
+        let outcome = Slugger::new(config(parallelism, 0)).summarize(&empty);
         assert_eq!(outcome.metrics.cost, 0);
         let single = Graph::from_edges(2, vec![(0, 1)]);
-        let outcome = Slugger::new(config(parallelism, 4, 0)).summarize(&single);
+        let outcome = Slugger::new(config(parallelism, 0)).summarize(&single);
         slugger_core::decode::verify_lossless(&outcome.summary, &single).unwrap();
     }
 }

@@ -7,8 +7,8 @@
 //! whose id-free canonical form is identical to an uninterrupted in-memory run.
 //! The sweep enumerates *every* fault point (probed by counting the mutating
 //! operations of a clean run) rather than sampling a few, and the same identity
-//! is pinned across the `parallelism × shards` scheduling lattice like the
-//! existing invariance tests.
+//! is pinned across the thread-count scheduling lattice like the existing
+//! invariance tests.
 //!
 //! On top of the crash sweep, tampering scenarios cover damage the crash model
 //! itself can't produce: duplicated tail records (re-sent appends), truncated
@@ -18,6 +18,7 @@ use slugger_core::decode::canonical_form;
 use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
 use slugger_core::storage::durable::fault::{FaultPlan, MemIo};
 use slugger_core::storage::durable::{DurableError, DurableIo, DurablePolicy, DurableSummarizer};
+use slugger_core::testsupport::lattice;
 use slugger_core::Parallelism;
 use slugger_graph::gen::{caveman, CavemanConfig};
 use slugger_graph::stream::{stream_batches, GraphDelta, StreamConfig};
@@ -45,12 +46,11 @@ fn small_stream() -> (Graph, Vec<GraphDelta>) {
     )
 }
 
-fn config_for(parallelism: Parallelism, shards: usize) -> IncrementalConfig {
+fn config_for(parallelism: Parallelism) -> IncrementalConfig {
     IncrementalConfig {
         iterations: 2,
         seed: 23,
         parallelism,
-        shards,
         ..IncrementalConfig::default()
     }
 }
@@ -94,9 +94,9 @@ fn drive(
 /// count, then for every op index, inject a fault there (alternating short-write
 /// budgets), crash with an alternating unsynced-tail keep, recover, finish, and
 /// demand identity with the uninterrupted run.
-fn sweep_all_fault_points(parallelism: Parallelism, shards: usize) {
+fn sweep_all_fault_points(parallelism: Parallelism) {
     let (initial, batches) = small_stream();
-    let config = config_for(parallelism, shards);
+    let config = config_for(parallelism);
     let expected = reference(&initial, &batches, config);
 
     // Probe: clean run, counting mutating I/O ops = the fault points.
@@ -157,68 +157,61 @@ fn sweep_all_fault_points(parallelism: Parallelism, shards: usize) {
 
 #[test]
 fn fault_sweep_sequential_one_shard() {
-    sweep_all_fault_points(Parallelism::Sequential, 1);
+    sweep_all_fault_points(Parallelism::Sequential);
 }
 
 #[test]
-fn fault_sweep_two_threads_four_shards() {
-    sweep_all_fault_points(Parallelism::Fixed(2), 4);
+fn fault_sweep_two_threads() {
+    sweep_all_fault_points(Parallelism::Fixed(2));
 }
 
 #[test]
-fn fault_sweep_four_threads_sixteen_shards() {
-    sweep_all_fault_points(Parallelism::Fixed(4), 16);
+fn fault_sweep_four_threads() {
+    sweep_all_fault_points(Parallelism::Fixed(4));
 }
 
 #[test]
-fn fault_sweep_eight_threads_four_shards() {
-    sweep_all_fault_points(Parallelism::Fixed(8), 4);
+fn fault_sweep_eight_threads() {
+    sweep_all_fault_points(Parallelism::Fixed(8));
 }
 
 /// The full scheduling lattice of the acceptance criterion, checked at one
-/// representative fault point each (the exhaustive per-op sweep above covers
-/// four corners of the lattice; an op-level sweep of all 12 cells would retread
-/// the same protocol paths at debug-mode cost).
+/// representative fault point each: a short write two-thirds through the
+/// protocol, a torn tail kept, and a second crash on every failed retry.
 #[test]
 fn recovery_identity_across_the_scheduling_lattice() {
     let (initial, batches) = small_stream();
-    for &parallelism in &[
-        Parallelism::Sequential,
-        Parallelism::Fixed(2),
-        Parallelism::Fixed(4),
-        Parallelism::Fixed(8),
-    ] {
-        for &shards in &[1usize, 4, 16] {
-            let config = config_for(parallelism, shards);
-            let expected = reference(&initial, &batches, config);
-            // Clean durable run doubles as the fault-point probe.
-            let probe = MemIo::new();
-            let clean = drive(probe.clone(), &initial, &batches, config).expect("clean run");
-            assert_eq!(clean, expected);
-            // Crash about two-thirds through the protocol with a short write,
-            // keep a torn tail, then recover and finish.
-            let io = MemIo::new();
-            io.arm(FaultPlan {
-                at_op: probe.ops() * 2 / 3,
-                keep_bytes: 1,
-            });
-            let mut attempts = 0;
-            let got = loop {
-                match drive(io.clone(), &initial, &batches, config) {
-                    Ok(s) => break s,
-                    Err(_) => {
-                        attempts += 1;
-                        assert!(attempts <= 3, "recovery did not converge");
-                        let mut crashed = io.clone();
-                        crashed.crash(2);
-                    }
+    for point in lattice() {
+        let config = config_for(point.parallelism);
+        let expected = reference(&initial, &batches, config);
+        // Clean durable run doubles as the fault-point probe.
+        let probe = MemIo::new();
+        let clean = drive(probe.clone(), &initial, &batches, config).expect("clean run");
+        assert_eq!(clean, expected);
+        // Crash about two-thirds through the protocol with a short write,
+        // keep a torn tail, then recover and finish.
+        let io = MemIo::new();
+        io.arm(FaultPlan {
+            at_op: probe.ops() * 2 / 3,
+            keep_bytes: 1,
+        });
+        let mut attempts = 0;
+        let got = loop {
+            match drive(io.clone(), &initial, &batches, config) {
+                Ok(s) => break s,
+                Err(_) => {
+                    attempts += 1;
+                    assert!(attempts <= 3, "recovery did not converge");
+                    let mut crashed = io.clone();
+                    crashed.crash(2);
                 }
-            };
-            assert_eq!(
-                got, expected,
-                "lattice cell ({parallelism:?}, {shards}) diverged after kill-and-recover"
-            );
-        }
+            }
+        };
+        assert_eq!(
+            got, expected,
+            "lattice cell {:?} diverged after kill-and-recover",
+            point.parallelism
+        );
     }
 }
 
@@ -232,7 +225,7 @@ fn recovery_identity_across_the_scheduling_lattice() {
 #[test]
 fn batches_ingested_after_torn_tail_recovery_survive_a_second_crash() {
     let (initial, batches) = small_stream();
-    let config = config_for(Parallelism::Sequential, 1);
+    let config = config_for(Parallelism::Sequential);
     let expected = reference(&initial, &batches, config);
 
     // No automatic checkpoints: the second recovery leans entirely on the WAL.
@@ -286,7 +279,7 @@ fn batches_ingested_after_torn_tail_recovery_survive_a_second_crash() {
 #[test]
 fn duplicated_tail_record_is_skipped() {
     let (initial, batches) = small_stream();
-    let config = config_for(Parallelism::Sequential, 1);
+    let config = config_for(Parallelism::Sequential);
     let expected = reference(&initial, &batches, config);
 
     let io = MemIo::new();
@@ -328,7 +321,7 @@ fn duplicated_tail_record_is_skipped() {
 #[test]
 fn truncated_wal_tail_recovers_at_every_cut() {
     let (initial, batches) = small_stream();
-    let config = config_for(Parallelism::Sequential, 1);
+    let config = config_for(Parallelism::Sequential);
     let expected = reference(&initial, &batches, config);
 
     let io = MemIo::new();
@@ -382,7 +375,7 @@ fn truncated_wal_tail_recovers_at_every_cut() {
 #[test]
 fn bit_flipped_wal_record_truncates_to_the_consistent_prefix() {
     let (initial, batches) = small_stream();
-    let config = config_for(Parallelism::Sequential, 1);
+    let config = config_for(Parallelism::Sequential);
     let expected = reference(&initial, &batches, config);
 
     // Policy with no checkpoints after creation: the whole stream lives in one

@@ -1,6 +1,6 @@
 //! Output-invariance regression tests for the incremental re-summarizer: a delta
-//! stream must produce a summary **byte-identical** across every
-//! `parallelism × shards` setting, after *every* batch — the `apply_invariance`
+//! stream must produce a summary **byte-identical** across every thread count,
+//! after *every* batch — the `apply_invariance`
 //! contract extended to the streaming path (dirty-region localization,
 //! dissolution, re-expansion and the per-batch pipeline passes must all be pure
 //! functions of the engine's content, never of hash-map layout or thread
@@ -48,7 +48,6 @@ fn run_stream(
     initial: &Graph,
     batches: &[slugger_graph::stream::GraphDelta],
     parallelism: Parallelism,
-    shards: usize,
 ) -> Vec<BatchObservation> {
     let bootstrap = Slugger::new(SluggerConfig {
         iterations: 4,
@@ -59,7 +58,6 @@ fn run_stream(
         // the same knobs here so the incremental engine starts from the identical
         // summary under every setting.
         parallelism,
-        shards,
         ..SluggerConfig::default()
     });
     let mut inc = IncrementalSummarizer::bootstrap(
@@ -71,7 +69,6 @@ fn run_stream(
             max_shingle_splits: 4,
             seed: 13,
             parallelism,
-            shards,
             ..IncrementalConfig::default()
         },
     );
@@ -99,27 +96,26 @@ fn incremental_stream_is_byte_identical_across_parallelism_and_shards() {
                 seed: 5,
             },
         );
-        let baseline = run_stream(&initial, &batches, Parallelism::Sequential, 8);
+        let baseline = run_stream(&initial, &batches, Parallelism::Sequential);
         assert!(
             baseline.iter().any(|(_, (_, served))| *served > 0),
             "{name}: the planner must serve panel blocks from its cache"
         );
         for point in lattice() {
-            let run = run_stream(&initial, &batches, point.parallelism, point.shards);
+            let run = run_stream(&initial, &batches, point.parallelism);
             for (batch, (got, expected)) in run.iter().zip(baseline.iter()).enumerate() {
                 assert_eq!(
                     got.0, expected.0,
-                    "{name}: summary diverged after batch {batch} at \
-                     parallelism {}, shards {}",
-                    point.threads, point.shards
+                    "{name}: summary diverged after batch {batch} at parallelism {}",
+                    point.threads
                 );
                 // The panel-block cache is per candidate set, so its counters
                 // are a pure function of the sets and their RNG streams.
                 assert_eq!(
                     got.1, expected.1,
                     "{name}: panel-block counters diverged after batch {batch} at \
-                     parallelism {}, shards {}",
-                    point.threads, point.shards
+                     parallelism {}",
+                    point.threads
                 );
             }
         }

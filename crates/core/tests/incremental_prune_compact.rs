@@ -5,7 +5,7 @@
 //!   maintained summary decodes to the live graph;
 //! * a forced mid-stream `compact` (plus an aggressive dead-slot threshold)
 //!   changes neither the id-free canonical form nor any subsequent batch's
-//!   output, across parallelism {1, 2, 4, 8} × shards {1, 4, 16};
+//!   output, across parallelism {1, 2, 4, 8};
 //! * resident arena slots stay bounded by the live summary over the stream
 //!   (the dead-slot ratio never exceeds the compaction threshold at batch end);
 //! * the incrementally-pruned summary's encoding cost stays within a pinned ε of
@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use slugger_core::incremental::{IncrementalConfig, IncrementalSummarizer};
 use slugger_core::model::HierarchicalSummary;
 use slugger_core::storage::{read_summary, write_summary};
+use slugger_core::testsupport::lattice;
 use slugger_core::{Parallelism, Slugger, SluggerConfig};
 use slugger_graph::gen::{caveman, rmat, CavemanConfig, RmatConfig};
 use slugger_graph::stream::{stream_batches, DynamicGraph, GraphDelta, StreamConfig};
@@ -82,26 +83,24 @@ fn rmat_stream() -> (Graph, Graph, Vec<GraphDelta>) {
     (target, initial, batches)
 }
 
-fn bootstrap_slugger(parallelism: Parallelism, shards: usize) -> Slugger {
+fn bootstrap_slugger(parallelism: Parallelism) -> Slugger {
     Slugger::new(SluggerConfig {
         iterations: 4,
         max_candidate_size: 64,
         max_shingle_splits: 5,
         seed: 7,
         parallelism,
-        shards,
         ..SluggerConfig::default()
     })
 }
 
-fn stream_config(parallelism: Parallelism, shards: usize) -> IncrementalConfig {
+fn stream_config(parallelism: Parallelism) -> IncrementalConfig {
     IncrementalConfig {
         iterations: 3,
         max_candidate_size: 48,
         max_shingle_splits: 4,
         seed: 13,
         parallelism,
-        shards,
         ..IncrementalConfig::default()
     }
 }
@@ -114,15 +113,14 @@ fn run_stream(
     initial: &Graph,
     batches: &[GraphDelta],
     parallelism: Parallelism,
-    shards: usize,
     compaction: bool,
 ) -> Vec<Canonical> {
     let config = IncrementalConfig {
         compact_dead_ratio: if compaction { 0.25 } else { 0.0 },
-        ..stream_config(parallelism, shards)
+        ..stream_config(parallelism)
     };
     let mut inc =
-        IncrementalSummarizer::bootstrap(initial, &bootstrap_slugger(parallelism, shards), config);
+        IncrementalSummarizer::bootstrap(initial, &bootstrap_slugger(parallelism), config);
     let mut current = DynamicGraph::from_graph(initial);
     let mut compacted = 0usize;
     let mut out = Vec::with_capacity(batches.len());
@@ -137,7 +135,7 @@ fn run_stream(
             slugger_core::decode::decode_full(inc.summary()).edge_set(),
             current.to_graph().edge_set(),
             "batch {i}: maintained summary diverged from the live graph \
-             (parallelism {parallelism:?}, shards {shards}, compaction {compaction})"
+             (parallelism {parallelism:?}, compaction {compaction})"
         );
         inc.validate()
             .unwrap_or_else(|e| panic!("batch {i}: engine bookkeeping diverged: {e}"));
@@ -163,28 +161,21 @@ fn run_stream(
 }
 
 /// The acceptance sweep: a forced mid-stream compact (and threshold-triggered
-/// compactions) must change nothing, and every `parallelism × shards` setting must
+/// compactions) must change nothing, and every thread count must
 /// produce the identical stream of summaries — all compared in id-free canonical
 /// form against the sequential, never-compacting baseline.
 #[test]
 fn compaction_and_parallelism_never_change_the_stream() {
     let (_, initial, batches) = rmat_stream();
-    let baseline = run_stream(&initial, &batches, Parallelism::Sequential, 8, false);
-    for parallelism in [1usize, 2, 4, 8] {
-        for shards in [1usize, 4, 16] {
-            let p = if parallelism == 1 {
-                Parallelism::Sequential
-            } else {
-                Parallelism::Fixed(parallelism)
-            };
-            let run = run_stream(&initial, &batches, p, shards, true);
-            for (batch, (got, expected)) in run.iter().zip(baseline.iter()).enumerate() {
-                assert_eq!(
-                    got, expected,
-                    "summary diverged after batch {batch} at parallelism \
-                     {parallelism}, shards {shards} (with compaction)"
-                );
-            }
+    let baseline = run_stream(&initial, &batches, Parallelism::Sequential, false);
+    for point in lattice() {
+        let run = run_stream(&initial, &batches, point.parallelism, true);
+        for (batch, (got, expected)) in run.iter().zip(baseline.iter()).enumerate() {
+            assert_eq!(
+                got, expected,
+                "summary diverged after batch {batch} at parallelism {} (with compaction)",
+                point.threads
+            );
         }
     }
 }
@@ -198,13 +189,13 @@ fn compaction_and_parallelism_never_change_the_stream() {
 fn incremental_prune_cost_matches_snapshot_prune_within_epsilon() {
     const EPSILON: f64 = 0.05;
     let (_, initial, batches) = rmat_stream();
-    let incremental_config = stream_config(Parallelism::Sequential, 8);
+    let incremental_config = stream_config(Parallelism::Sequential);
     let legacy_config = IncrementalConfig {
         prune_rounds: 0,
         compact_dead_ratio: 0.0,
         ..incremental_config
     };
-    let slugger = bootstrap_slugger(Parallelism::Sequential, 8);
+    let slugger = bootstrap_slugger(Parallelism::Sequential);
     let mut pruned = IncrementalSummarizer::bootstrap(&initial, &slugger, incremental_config);
     let mut legacy = IncrementalSummarizer::bootstrap(&initial, &slugger, legacy_config);
     for (i, delta) in batches.iter().enumerate() {

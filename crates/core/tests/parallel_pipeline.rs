@@ -1,11 +1,11 @@
 //! Integration tests of the sharded merge pipeline: thread-count invariance,
 //! losslessness at every parallelism level, and determinism of the shard structure.
 //!
-//! The pipeline's contract (see `slugger_core::pipeline`) is that both the
-//! [`Parallelism`] knob and the shard count are pure scheduling knobs: for a fixed
-//! seed the summary must be bit-for-bit equivalent no matter how many threads or
-//! shards execute the planning.  These tests pin that down on structured (caveman)
-//! and skewed (RMAT) graphs.
+//! The pipeline's contract (see `slugger_core::pipeline`) is that the
+//! [`Parallelism`] knob, and with it the one-shard-per-thread split, is pure
+//! scheduling: for a fixed seed the summary must be bit-for-bit equivalent no
+//! matter how many threads and shards execute the planning.  These tests pin
+//! that down on structured (caveman) and skewed (RMAT) graphs.
 
 use slugger_core::decode::{decode_full, verify_lossless};
 use slugger_core::{Parallelism, Slugger, SluggerConfig};
@@ -101,23 +101,17 @@ fn parallel_runs_reproduce_the_sequential_summary() {
 #[test]
 fn neither_shard_count_nor_thread_count_changes_the_result() {
     // Every candidate set is planned against the frozen iteration view with its own
-    // RNG stream, so both knobs are pure scheduling: the summary is a function of
-    // (graph, seed) alone.
+    // RNG stream, so the thread count (one shard per thread) is pure scheduling:
+    // the summary is a function of (graph, seed) alone.
     let graph = caveman_graph();
     let baseline = Slugger::new(config(Parallelism::Sequential, 9)).summarize(&graph);
-    for shards in [1usize, 4, 13] {
-        for parallelism in [Parallelism::Sequential, Parallelism::Fixed(8)] {
-            let outcome = Slugger::new(SluggerConfig {
-                shards,
-                ..config(parallelism, 9)
-            })
-            .summarize(&graph);
-            assert_eq!(
-                baseline.metrics.cost, outcome.metrics.cost,
-                "result changed at shards = {shards}, {parallelism:?}"
-            );
-            verify_lossless(&outcome.summary, &graph).unwrap();
-        }
+    for parallelism in [Parallelism::Sequential, Parallelism::Fixed(8)] {
+        let outcome = Slugger::new(config(parallelism, 9)).summarize(&graph);
+        assert_eq!(
+            baseline.metrics.cost, outcome.metrics.cost,
+            "result changed at {parallelism:?}"
+        );
+        verify_lossless(&outcome.summary, &graph).unwrap();
     }
 }
 

@@ -10,7 +10,7 @@
 //!   exact answers while the stream moves on, prunes and compacts underneath
 //!   it — snapshots own their state, arena renumbering cannot reach them.
 //! - **Lattice**: the published answers are identical across
-//!   parallelism {1, 2, 4, 8} x shards {1, 4, 16} — scheduling is invisible to
+//!   parallelism {1, 2, 4, 8} — scheduling is invisible to
 //!   readers, same as the existing canonical-form invariance pins.
 //! - **Durability**: a mid-stream kill/recover (fault-injected `MemIo`)
 //!   republishes a snapshot whose answers match an uninterrupted control run
@@ -418,14 +418,13 @@ fn snapshot_answers_are_identical_across_parallelism_and_shards() {
             seed: 11,
         },
     );
-    let run = |parallelism: Parallelism, shards: usize| -> Vec<Vec<Vec<NodeId>>> {
+    let run = |parallelism: Parallelism| -> Vec<Vec<Vec<NodeId>>> {
         let slot = SnapshotSlot::new();
         let mut inc = IncrementalSummarizer::bootstrap(
             &initial,
             &bootstrap_slugger(5),
             IncrementalConfig {
                 parallelism,
-                shards,
                 ..stream_config(19)
             },
         );
@@ -439,13 +438,13 @@ fn snapshot_answers_are_identical_across_parallelism_and_shards() {
             })
             .collect()
     };
-    let baseline = run(Parallelism::Sequential, 8);
+    let baseline = run(Parallelism::Sequential);
     for point in slugger_core::testsupport::lattice() {
-        let got = run(point.parallelism, point.shards);
+        let got = run(point.parallelism);
         assert_eq!(
             got, baseline,
-            "served answers diverged at parallelism {}, shards {}",
-            point.threads, point.shards
+            "served answers diverged at parallelism {}",
+            point.threads
         );
     }
 }

@@ -13,7 +13,7 @@
 //!    the live graph a consumer applying the same deltas holds, the engine
 //!    validates, and partial dissolution re-expands at most the dirty region;
 //! 2. **byte-identity across the lattice**: identical canonical summaries at
-//!    every `parallelism {1, 2, 4, 8} × shards {1, 4, 16}` point, per batch;
+//!    every `parallelism {1, 2, 4, 8}` point, per batch;
 //! 3. **candidate-index soundness**: after every batch, the candidate sets the
 //!    persistent index serves equal the naive reference oracle's, over all
 //!    roots and over a strict subset;
@@ -42,26 +42,24 @@ fn smoke_stream(scenario: &slugger_scenarios::Scenario) -> CollectedScenario {
         .collect_stream()
 }
 
-fn bootstrap_slugger(parallelism: Parallelism, shards: usize) -> Slugger {
+fn bootstrap_slugger(parallelism: Parallelism) -> Slugger {
     Slugger::new(SluggerConfig {
         iterations: 3,
         max_candidate_size: 48,
         max_shingle_splits: 4,
         seed: 7,
         parallelism,
-        shards,
         ..SluggerConfig::default()
     })
 }
 
-fn incremental_config(parallelism: Parallelism, shards: usize) -> IncrementalConfig {
+fn incremental_config(parallelism: Parallelism) -> IncrementalConfig {
     IncrementalConfig {
         iterations: 2,
         max_candidate_size: 32,
         max_shingle_splits: 3,
         seed: 13,
         parallelism,
-        shards,
         ..IncrementalConfig::default()
     }
 }
@@ -104,10 +102,10 @@ fn registry_covers_the_required_scenario_classes() {
 fn decode_identity_holds_after_every_batch_of_every_scenario() {
     for scenario in registry() {
         let stream = smoke_stream(&scenario);
-        let config = incremental_config(Parallelism::Sequential, 8);
+        let config = incremental_config(Parallelism::Sequential);
         let mut inc = IncrementalSummarizer::bootstrap(
             &stream.initial,
-            &bootstrap_slugger(Parallelism::Sequential, 8),
+            &bootstrap_slugger(Parallelism::Sequential),
             config,
         );
         // The consumer's live graph, maintained independently of the engine.
@@ -143,21 +141,21 @@ fn summaries_are_byte_identical_across_the_lattice_for_every_scenario() {
         let baseline = run_canonical(
             &stream.initial,
             &stream.batches,
-            &bootstrap_slugger(Parallelism::Sequential, 8),
-            incremental_config(Parallelism::Sequential, 8),
+            &bootstrap_slugger(Parallelism::Sequential),
+            incremental_config(Parallelism::Sequential),
         );
         for point in lattice() {
             let run = run_canonical(
                 &stream.initial,
                 &stream.batches,
-                &bootstrap_slugger(point.parallelism, point.shards),
-                incremental_config(point.parallelism, point.shards),
+                &bootstrap_slugger(point.parallelism),
+                incremental_config(point.parallelism),
             );
             for (batch, (got, expected)) in run.iter().zip(baseline.iter()).enumerate() {
                 assert_eq!(
                     got, expected,
-                    "{}: summary diverged after batch {batch} at parallelism {}, shards {}",
-                    scenario.name, point.threads, point.shards
+                    "{}: summary diverged after batch {batch} at parallelism {}",
+                    scenario.name, point.threads
                 );
             }
         }
@@ -170,8 +168,8 @@ fn candidate_index_matches_the_reference_oracle_for_every_scenario() {
         let stream = smoke_stream(&scenario);
         let mut inc = IncrementalSummarizer::bootstrap(
             &stream.initial,
-            &bootstrap_slugger(Parallelism::Sequential, 8),
-            incremental_config(Parallelism::Sequential, 8),
+            &bootstrap_slugger(Parallelism::Sequential),
+            incremental_config(Parallelism::Sequential),
         );
         for (i, delta) in stream.batches.iter().enumerate() {
             inc.resummarize(delta);
@@ -184,7 +182,7 @@ fn candidate_index_matches_the_reference_oracle_for_every_scenario() {
 fn kill_recover_matches_the_uninterrupted_run_for_every_scenario() {
     for scenario in registry() {
         let stream = smoke_stream(&scenario);
-        let config = incremental_config(Parallelism::Sequential, 8);
+        let config = incremental_config(Parallelism::Sequential);
         let policy = DurablePolicy {
             checkpoint_every_batches: 2,
             checkpoint_wal_bytes: 0,
@@ -193,7 +191,7 @@ fn kill_recover_matches_the_uninterrupted_run_for_every_scenario() {
         // Uninterrupted in-memory control.
         let mut control = IncrementalSummarizer::bootstrap(
             &stream.initial,
-            &bootstrap_slugger(Parallelism::Sequential, 8),
+            &bootstrap_slugger(Parallelism::Sequential),
             config,
         );
         for delta in &stream.batches {
@@ -207,7 +205,7 @@ fn kill_recover_matches_the_uninterrupted_run_for_every_scenario() {
                 DurableSummarizer::open_or_create(config, policy, io, || {
                     IncrementalSummarizer::bootstrap(
                         &stream.initial,
-                        &bootstrap_slugger(Parallelism::Sequential, 8),
+                        &bootstrap_slugger(Parallelism::Sequential),
                         config,
                     )
                 })?;

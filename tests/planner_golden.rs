@@ -4,7 +4,7 @@
 //! each substep and the report of a two-round prune of the unpruned summaries.
 //!
 //! The invariance suites compare settings against each other (thread counts,
-//! shard counts, scenarios), so a planner change that alters results the same
+//! scenarios), so a planner change that alters results the same
 //! way under every setting passes them all.  This suite compares against a
 //! baseline instead: a planner optimization must leave every number below
 //! exactly as it was.  If a change alters the algorithm on purpose, re-record
