@@ -5,6 +5,7 @@
 use crate::experiments::heading;
 use crate::runner::ExperimentScale;
 use crate::table::{fmt_relative, TableWriter};
+use slugger_core::engine::MergeEngine;
 use slugger_core::metrics::SummaryMetrics;
 use slugger_core::prune::{prune_step1, prune_step2, prune_step3};
 use slugger_core::{Slugger, SluggerConfig};
@@ -26,7 +27,7 @@ pub fn run(scale: &ExperimentScale) -> String {
             ..SluggerConfig::default()
         })
         .summarize(&graph);
-        let mut summary = outcome.summary;
+        let mut engine = MergeEngine::from_summary(outcome.summary);
         let mut sizes = Vec::new();
         let mut heights = Vec::new();
         let mut depths = Vec::new();
@@ -39,13 +40,13 @@ pub fn run(scale: &ExperimentScale) -> String {
             heights.push(m.max_height);
             depths.push(m.avg_leaf_depth);
         };
-        record(&summary, &mut sizes, &mut heights, &mut depths);
-        prune_step1(&mut summary);
-        record(&summary, &mut sizes, &mut heights, &mut depths);
-        prune_step2(&mut summary);
-        record(&summary, &mut sizes, &mut heights, &mut depths);
-        prune_step3(&mut summary, &graph);
-        record(&summary, &mut sizes, &mut heights, &mut depths);
+        record(engine.summary(), &mut sizes, &mut heights, &mut depths);
+        prune_step1(&mut engine);
+        record(engine.summary(), &mut sizes, &mut heights, &mut depths);
+        prune_step2(&mut engine);
+        record(engine.summary(), &mut sizes, &mut heights, &mut depths);
+        prune_step3(&mut engine, &graph);
+        record(engine.summary(), &mut sizes, &mut heights, &mut depths);
 
         size_table.row(
             std::iter::once(spec.key.label().to_string())

@@ -107,7 +107,8 @@ impl Default for ExperimentScale {
 impl ExperimentScale {
     /// Parses the harness command-line flags (unknown flags are ignored so binaries can
     /// add their own).  A numeric flag with a missing or malformed value is an error
-    /// that names the flag.
+    /// that names the flag; so is a missing `--datasets` list or any unknown label
+    /// in it.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = ExperimentScale::default();
         let mut iter = args.into_iter();
@@ -116,21 +117,7 @@ impl ExperimentScale {
                 "--scale" => out.scale = parse_number(&arg, iter.next())?,
                 "--iterations" | "-T" => out.iterations = parse_number(&arg, iter.next())?,
                 "--seed" => out.seed = parse_number(&arg, iter.next())?,
-                "--datasets" => {
-                    if let Some(v) = iter.next() {
-                        let keys: Vec<DatasetKey> = v
-                            .split(',')
-                            .filter_map(|label| {
-                                DatasetKey::all()
-                                    .into_iter()
-                                    .find(|k| k.label().eq_ignore_ascii_case(label.trim()))
-                            })
-                            .collect();
-                        if !keys.is_empty() {
-                            out.datasets = Some(keys);
-                        }
-                    }
-                }
+                "--datasets" => out.datasets = Some(parse_datasets(iter.next())?),
                 "--threads" => out.threads = parse_number(&arg, iter.next())?,
                 "--quick" => {
                     out.quick = true;
@@ -196,6 +183,21 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Resu
     let raw = value.ok_or_else(|| format!("{flag} expects a number"))?;
     raw.parse()
         .map_err(|_| format!("{flag} expects a number, got {raw:?}"))
+}
+
+/// The keys of a comma-separated `--datasets` list (labels match case-insensitively),
+/// or an error naming the first unknown label or the missing list.
+fn parse_datasets(value: Option<String>) -> Result<Vec<DatasetKey>, String> {
+    let raw = value.ok_or("--datasets expects a comma-separated list of dataset labels")?;
+    raw.split(',')
+        .map(|label| {
+            let label = label.trim();
+            DatasetKey::all()
+                .into_iter()
+                .find(|k| k.label().eq_ignore_ascii_case(label))
+                .ok_or_else(|| format!("--datasets: unknown dataset {label:?}"))
+        })
+        .collect()
 }
 
 /// Runs a single algorithm on a graph with the paper's parameter settings and returns
@@ -347,6 +349,23 @@ mod tests {
             assert!(err.contains(flag), "{err}");
         }
         assert!(parse(&["--seed"]).unwrap_err().contains("--seed"));
+    }
+
+    #[test]
+    fn unknown_or_missing_datasets_are_rejected_by_name() {
+        let parse = |args: &[&str]| ExperimentScale::from_args(args.iter().map(|s| s.to_string()));
+        assert_eq!(
+            parse(&["--datasets", "CA, pr"]).unwrap().datasets,
+            Some(vec![DatasetKey::CA, DatasetKey::PR])
+        );
+        // Every label unknown, and a valid label mixed with an unknown one.
+        for list in ["XX", "ca,XX"] {
+            let err = parse(&["--datasets", list]).unwrap_err();
+            assert!(err.contains("--datasets") && err.contains("XX"), "{err}");
+        }
+        let err = parse(&["--datasets", "ca,"]).unwrap_err();
+        assert!(err.contains("--datasets") && err.contains("\"\""), "{err}");
+        assert!(parse(&["--datasets"]).unwrap_err().contains("--datasets"));
     }
 
     #[test]

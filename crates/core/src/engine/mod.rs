@@ -763,9 +763,9 @@ impl MergeEngine {
     }
 
     /// Removes a non-leaf supernode from the maintained summary with **exact**
-    /// engine bookkeeping — the structural half of engine-hosted pruning (the
-    /// [`crate::prune::PruneHost`] impl routes the substeps' edge edits through the
-    /// p/n-edge sink and their structural removals through here).
+    /// engine bookkeeping — the structural half of pruning ([`crate::prune`]
+    /// routes the substeps' edge edits through the p/n-edge sink and their
+    /// structural removals through here).
     ///
     /// The node's own incident edges are dropped through the sink first.  Removing
     /// an **internal** node keeps the containing root's identity (its tree just
@@ -1123,29 +1123,6 @@ impl view::PnEdgeSink for MergeEngine {
                 Self::decrement(&mut self.roots, ry, rx);
             }
         }
-    }
-}
-
-/// Engine-hosted pruning: the substeps of [`crate::prune`] mutate the maintained
-/// summary through the engine's bookkeeping (edge edits through the p/n-edge sink,
-/// structural removals through [`MergeEngine::prune_supernode`]), so the union-find,
-/// root set and `Saving(A, B, G)` metadata stay exact while the summary is pruned
-/// in place — no snapshot, no rebuild.
-impl crate::prune::PruneHost for MergeEngine {
-    fn summary(&self) -> &HierarchicalSummary {
-        MergeEngine::summary(self)
-    }
-
-    fn remove_edge(&mut self, a: SupernodeId, b: SupernodeId) {
-        self.remove_pn_edge(a, b);
-    }
-
-    fn set_edge(&mut self, a: SupernodeId, b: SupernodeId, sign: EdgeSign) {
-        self.add_pn_edge(a, b, sign.weight() as i8);
-    }
-
-    fn prune_supernode(&mut self, id: SupernodeId) {
-        MergeEngine::prune_supernode(self, id);
     }
 }
 

@@ -214,9 +214,6 @@ pub struct BatchReport {
     /// What the post-batch region prune changed (all zeros when
     /// [`IncrementalConfig::prune_rounds`] is 0).
     pub prune: PruneReport,
-    /// Wall-clock duration of the post-batch region prune alone.  Bounded by the
-    /// dirty region's size, not by the summary.
-    pub prune_elapsed: std::time::Duration,
     /// Dead arena slots reclaimed by compaction at the end of this batch (0 when
     /// the dead-slot ratio stayed below the threshold).
     pub compacted_slots: usize,
@@ -237,7 +234,8 @@ pub struct BatchReport {
     pub elapsed: std::time::Duration,
     /// Per-stage wall-clock breakdown of `elapsed`: the pipeline stages
     /// accumulated over the batch's passes, plus the streaming-only `localize`
-    /// and `dissolve` stages (`stages.prune` mirrors `prune_elapsed`).
+    /// and `dissolve` stages.  `stages.prune` is the post-batch region prune
+    /// alone, bounded by the dirty region's size, not by the summary.
     pub stages: crate::slugger::StageProfile,
 }
 
@@ -426,17 +424,16 @@ impl IncrementalSummarizer {
     }
 
     /// A whole-summary pruned snapshot of the maintained summary: a clone run
-    /// through [`prune_all`] (the region prune over every root) on a bare
-    /// summary, leaving the engine untouched.  With incremental pruning enabled
-    /// the maintained summary is already region-pruned, so this mostly confirms
-    /// there is little left to prune; with [`IncrementalConfig::prune_rounds`] = 0
-    /// it is the only way to report pruned costs.  Returns the snapshot and what
-    /// pruning changed.
+    /// through [`prune_all`] (the region prune over every root) on a throwaway
+    /// engine rebuilt around it, leaving the maintained engine untouched.  With
+    /// incremental pruning enabled the maintained summary is already
+    /// region-pruned, so this mostly confirms there is little left to prune;
+    /// with [`IncrementalConfig::prune_rounds`] = 0 it is the only way to report
+    /// pruned costs.  Returns the snapshot and what pruning changed.
     pub fn pruned_summary(&self, rounds: usize) -> (HierarchicalSummary, PruneReport) {
-        let mut snapshot = self.engine.summary().clone();
-        let graph = self.graph.to_graph();
-        let report = prune_all(&mut snapshot, &graph, rounds);
-        (snapshot, report)
+        let mut snapshot = MergeEngine::from_summary(self.engine.summary().clone());
+        let report = prune_all(&mut snapshot, &self.graph, rounds);
+        (snapshot.into_summary(), report)
     }
 
     /// Verifies the lossless invariant: the maintained summary must decode to
@@ -642,8 +639,7 @@ impl IncrementalSummarizer {
                 self.config.prune_rounds,
             );
         }
-        report.prune_elapsed = prune_start.elapsed();
-        report.stages.prune = report.prune_elapsed;
+        report.stages.prune = prune_start.elapsed();
         report.compacted_slots = self.maybe_compact();
 
         let summary = self.engine.summary();

@@ -39,18 +39,17 @@
 //!   only the dirty region of each delta batch, pruning it incrementally
 //!   (engine-hosted region pruning) and compacting the arena so memory tracks the
 //!   live summary, not the stream length.
-//! * [`merge`] — the merging step over one candidate set (Algorithm 2), in planning
-//!   ([`merge::plan_candidate_set`]) and direct ([`merge::process_candidate_set`])
-//!   form.
+//! * [`merge`] — the merging step over one candidate set (Algorithm 2)
+//!   ([`merge::plan_candidate_set`]).
 //! * [`pipeline`] — the stage-based sharded execution substrate (candidates → shard
 //!   → merge → apply → prune): deterministic set-to-shard partitioning (SLUGGER
 //!   plans one shard per worker thread), per-set RNG streams seeded by
 //!   `(seed, iteration, set_index)`, and the [`pipeline::Parallelism`] thread
 //!   knob, which never changes results.  Shared with the SWeG baseline.
 //! * [`prune`] — the three pruning substeps (Sect. III-B4, Algorithm 3); the final
-//!   pipeline stage.  Generic over [`prune::PruneHost`], so the same substeps run
-//!   on a bare summary (batch path) or through the live engine's bookkeeping
-//!   (streaming path).  One implementation, restricted to a set of region roots
+//!   pipeline stage.  Pruning has one host, the live engine: the substeps edit
+//!   the summary through its bookkeeping in the batch and the streaming path
+//!   alike.  One implementation, restricted to a set of region roots
 //!   ([`prune::prune_region`]); whole-summary pruning ([`prune::prune_all`]) is
 //!   that region prune over every root.
 //! * [`slugger`] — the top-level driver (Algorithm 1) wiring the stages together.

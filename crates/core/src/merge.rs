@@ -15,7 +15,7 @@
 //! which `testsupport::reference_plan_candidate_set` still does as the oracle.
 
 use crate::engine::apply::{MergeRef, PlannedMerge};
-use crate::engine::{MergeCtx, MergeCutoff, MergeEngine, MergeState};
+use crate::engine::{MergeCtx, MergeCutoff, MergeState};
 use crate::model::SupernodeId;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -80,8 +80,8 @@ pub struct MergeOptions {
 ///
 /// The merges *are applied* to the given [`MergeState`] — in the sharded pipeline
 /// that is a per-set copy-on-write overlay over the frozen iteration view; planning
-/// directly on the authoritative [`MergeEngine`] is the in-place special case used
-/// by [`process_candidate_set`].
+/// directly on the authoritative [`crate::engine::MergeEngine`] is the in-place
+/// special case (this module's tests).
 pub fn plan_candidate_set<E: MergeState>(
     engine: &mut E,
     ctx: &mut MergeCtx,
@@ -162,24 +162,10 @@ pub fn plan_candidate_set<E: MergeState>(
     (merges, stats)
 }
 
-/// Processes one candidate set `D` (Algorithm 2) directly on the given engine: the
-/// plan-and-apply-in-place special case of [`plan_candidate_set`].
-pub fn process_candidate_set(
-    engine: &mut MergeEngine,
-    ctx: &mut MergeCtx,
-    candidate_set: &[SupernodeId],
-    options: &MergeOptions,
-    rng: &mut StdRng,
-) -> MergeStats {
-    let (merges, stats) = plan_candidate_set(engine, ctx, candidate_set, options, rng);
-    // In-place processing has no replay consumer; recycle the plan immediately.
-    ctx.recycle_merges(merges);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MergeEngine;
     use rand::SeedableRng;
     use slugger_graph::Graph;
 
@@ -211,7 +197,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let spokes: Vec<SupernodeId> = (2..8).collect();
         let before = engine.summary().encoding_cost();
-        let stats = process_candidate_set(
+        let (merges, stats) = plan_candidate_set(
             &mut engine,
             &mut ctx,
             &spokes,
@@ -221,6 +207,7 @@ mod tests {
             },
             &mut rng,
         );
+        ctx.recycle_merges(merges);
         assert!(stats.evaluated > 0);
         assert!(
             stats.merged >= 4,
@@ -230,15 +217,14 @@ mod tests {
         // h-edges); the gain appears once edge-free internal supernodes are pruned.
         let after = engine.summary().encoding_cost();
         assert!(after <= before, "cost must not grow ({before} -> {after})");
-        let graph = twin_heavy_graph();
-        let mut summary = engine.into_summary();
-        crate::prune::prune_all(&mut summary, &graph, 2);
+        crate::prune::prune_all(&mut engine, &g, 2);
+        let summary = engine.summary();
         assert!(
             summary.encoding_cost() < before,
             "pruned cost should drop ({before} -> {})",
             summary.encoding_cost()
         );
-        crate::decode::verify_lossless(&summary, &graph).unwrap();
+        crate::decode::verify_lossless(summary, &g).unwrap();
     }
 
     #[test]
@@ -248,7 +234,7 @@ mod tests {
         let mut ctx = MergeCtx::new();
         let mut rng = StdRng::seed_from_u64(5);
         let all: Vec<SupernodeId> = (0..4).collect();
-        let stats = process_candidate_set(
+        let (merges, stats) = plan_candidate_set(
             &mut engine,
             &mut ctx,
             &all,
@@ -258,6 +244,7 @@ mod tests {
             },
             &mut rng,
         );
+        ctx.recycle_merges(merges);
         assert_eq!(stats.merged, 0);
         assert_eq!(engine.num_roots(), 4);
     }
@@ -271,7 +258,7 @@ mod tests {
         let spokes: Vec<SupernodeId> = (2..8).collect();
         // Height bound 1: only leaf-leaf merges allowed, so every merged tree has
         // exactly two leaves.
-        let _ = process_candidate_set(
+        let (merges, _stats) = plan_candidate_set(
             &mut engine,
             &mut ctx,
             &spokes,
@@ -281,6 +268,7 @@ mod tests {
             },
             &mut rng,
         );
+        ctx.recycle_merges(merges);
         for root in engine.roots() {
             assert!(engine.root_height(root) <= 1);
             assert!(engine.summary().members(root).len() <= 2);
@@ -297,7 +285,7 @@ mod tests {
         // Merge 2 and 3 beforehand; the candidate set still names them.
         let m = engine.apply_merge(2, 3, &mut ctx);
         let candidates: Vec<SupernodeId> = vec![2, 3, 4, 5, m];
-        let stats = process_candidate_set(
+        let (merges, stats) = plan_candidate_set(
             &mut engine,
             &mut ctx,
             &candidates,
@@ -307,6 +295,7 @@ mod tests {
             },
             &mut rng,
         );
+        ctx.recycle_merges(merges);
         // No panic, and some work happened on the live roots.
         assert!(stats.evaluated > 0);
         engine.summary().validate().unwrap();

@@ -32,24 +32,20 @@
 //! original hash-map bookkeeping survives only in this module's tests, as the
 //! byte-identity reference.
 //!
-//! # Hosts: bare summaries and the live engine
+//! # One host: the live engine
 //!
-//! Every substep is generic over a [`PruneHost`] — the mutation surface pruning
-//! needs.  Two hosts exist:
-//!
-//! * a bare [`HierarchicalSummary`] (the batch path: [`crate::Slugger`] prunes its
-//!   output once, after the merge iterations, when no engine bookkeeping is alive
-//!   anymore);
-//! * the live [`crate::engine::MergeEngine`] (the streaming path): its edge edits go
-//!   through the engine's p/n-edge bookkeeping sink and its structural removals
-//!   through [`crate::engine::MergeEngine::prune_supernode`] — an internal node
-//!   shrinks its tree in place, a root goes through the engine's one split
-//!   commit — so every root's `Saving(A, B, G)` metadata (adjacency counts, tree
-//!   sizes, heights) stays exact while the **maintained** summary is pruned in
-//!   place.
-//!
-//! The same substep implementations run against both hosts, so the batch and the
-//! streaming path can never disagree about what pruning means.
+//! Every substep takes the [`MergeEngine`] whose summary it prunes: edge edits
+//! go through the engine's p/n-edge bookkeeping sink and structural removals
+//! through [`MergeEngine::prune_supernode`] — an internal node shrinks its tree
+//! in place, a root goes through the engine's one split commit — so every
+//! root's `Saving(A, B, G)` metadata (adjacency counts, tree sizes, heights)
+//! stays exact while the summary is pruned in place.  [`crate::Slugger`]
+//! prunes its live engine once, after the merge iterations; the incremental
+//! re-summarizer prunes its maintained engine after every batch.  A caller
+//! holding only a bare summary wraps it in [`MergeEngine::from_summary`] and
+//! reads [`MergeEngine::summary`] back.  The batch and the streaming path run
+//! the same code through the same sink, so they can never disagree about what
+//! pruning means.
 //!
 //! All substeps are **content-deterministic**: supernodes are visited in sorted-id
 //! order and each root pair's re-encoding depends only on that pair's edges, so the
@@ -57,7 +53,9 @@
 //! This is what lets the streaming invariance tests pin byte-identical summaries
 //! across `parallelism` settings even with pruning enabled.
 
-use crate::model::{EdgeSign, HierarchicalSummary, SupernodeId};
+use crate::engine::view::PnEdgeSink;
+use crate::engine::MergeEngine;
+use crate::model::{HierarchicalSummary, SupernodeId};
 use slugger_graph::{AdjacencyList, NodeId};
 
 /// Summary of what a pruning pass changed.
@@ -85,43 +83,6 @@ impl PruneReport {
     }
 }
 
-/// The mutation surface the pruning substeps run against.
-///
-/// Implemented by the bare [`HierarchicalSummary`] (edits applied directly) and by
-/// [`crate::engine::MergeEngine`] (edits routed through the engine's bookkeeping
-/// sink so its per-root metadata stays exact — see the module docs).
-pub trait PruneHost {
-    /// Read access to the summary being pruned.
-    fn summary(&self) -> &HierarchicalSummary;
-    /// Removes the p/n-edge between two supernodes, if present.
-    fn remove_edge(&mut self, a: SupernodeId, b: SupernodeId);
-    /// Inserts (or overwrites) the p/n-edge between two supernodes.
-    fn set_edge(&mut self, a: SupernodeId, b: SupernodeId, sign: EdgeSign);
-    /// Removes a non-leaf supernode, re-parenting its children (or promoting them
-    /// to roots).  The caller has already re-encoded the node's edges.  The
-    /// engine host splits a pruned root's tree through its one split commit,
-    /// which re-derives every promoted root's metadata from the same edges.
-    fn prune_supernode(&mut self, id: SupernodeId);
-}
-
-impl PruneHost for HierarchicalSummary {
-    fn summary(&self) -> &HierarchicalSummary {
-        self
-    }
-
-    fn remove_edge(&mut self, a: SupernodeId, b: SupernodeId) {
-        HierarchicalSummary::remove_edge(self, a, b);
-    }
-
-    fn set_edge(&mut self, a: SupernodeId, b: SupernodeId, sign: EdgeSign) {
-        HierarchicalSummary::set_edge(self, a, b, sign);
-    }
-
-    fn prune_supernode(&mut self, id: SupernodeId) {
-        HierarchicalSummary::prune_supernode(self, id);
-    }
-}
-
 /// Cap on the subnode pairs `|A| · |B|` substep 3 considers for one root pair:
 /// it guards against enumerating astronomically many subnode pairs for two huge
 /// roots.  Pairs above the cap are skipped (they are never profitable to flatten
@@ -129,24 +90,24 @@ impl PruneHost for HierarchicalSummary {
 const MAX_PAIR_PRODUCT: usize = 4_000_000;
 
 /// Every current root, ascending: the region of whole-summary pruning.
-fn all_roots<H: PruneHost>(host: &H) -> Vec<SupernodeId> {
-    host.summary().roots().collect()
+fn all_roots(engine: &MergeEngine) -> Vec<SupernodeId> {
+    engine.summary().roots().collect()
 }
 
 /// Substep 1: removes every alive non-leaf supernode with no incident p/n-edge.
 /// Returns the number of supernodes removed.
-pub fn prune_step1<H: PruneHost>(host: &mut H) -> usize {
-    prune_step1_region(host, &mut all_roots(host))
+pub fn prune_step1(engine: &mut MergeEngine) -> usize {
+    prune_step1_region(engine, &mut all_roots(engine))
 }
 
 /// Substep 1 restricted to the trees of `region` roots (distinct ids).  When a
 /// *root* of the region is removed, its promoted children are appended to
 /// `region` (they are new region roots for the following substeps).  Returns the
 /// number removed.
-fn prune_step1_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>) -> usize {
+fn prune_step1_region(engine: &mut MergeEngine, region: &mut Vec<SupernodeId>) -> usize {
     // Only internal nodes are candidates, so leaves are never collected.  The
     // trees are disjoint, so every node is collected once.
-    let summary = host.summary();
+    let summary = engine.summary();
     let mut nodes: Vec<SupernodeId> = Vec::new();
     let mut stack: Vec<SupernodeId> = Vec::new();
     for &r in region.iter() {
@@ -168,12 +129,12 @@ fn prune_step1_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>)
     nodes.sort_unstable();
     let mut removed = 0usize;
     for id in nodes {
-        let summary = host.summary();
+        let summary = engine.summary();
         if summary.incident_count(id) == 0 {
             if summary.is_root(id) {
                 region.extend_from_slice(summary.children(id));
             }
-            host.prune_supernode(id);
+            engine.prune_supernode(id);
             removed += 1;
         }
     }
@@ -183,19 +144,19 @@ fn prune_step1_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>)
 /// Substep 2: removes every alive non-leaf **root** whose only incident p/n-edge is a
 /// single non-loop edge `(A, B)`, pushing that edge down to `A`'s children (flipping
 /// against existing opposite-sign edges).  Returns the number of roots removed.
-pub fn prune_step2<H: PruneHost>(host: &mut H) -> usize {
-    prune_step2_region(host, &mut all_roots(host))
+pub fn prune_step2(engine: &mut MergeEngine) -> usize {
+    prune_step2_region(engine, &mut all_roots(engine))
 }
 
 /// Substep 2 restricted to `region` roots, as a work loop over a root queue
 /// (LIFO, so a sorted region is processed in descending-id order; promoted
 /// children re-enter the queue).  Promoted children also join `region`, so
 /// callers keep their region root set current.
-fn prune_step2_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>) -> usize {
+fn prune_step2_region(engine: &mut MergeEngine, region: &mut Vec<SupernodeId>) -> usize {
     let mut queue: Vec<SupernodeId> = region.clone();
     let mut removed = 0usize;
     while let Some(a) = queue.pop() {
-        let summary = host.summary();
+        let summary = engine.summary();
         if !summary.is_alive(a) || !summary.is_root(a) || summary.supernode(a).is_leaf() {
             continue;
         }
@@ -217,17 +178,17 @@ fn prune_step2_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>)
             continue;
         }
         // Remove A (drops (A, B) and the |children| h-edges, making children roots).
-        host.prune_supernode(a);
+        engine.prune_supernode(a);
         removed += 1;
         for &c in &children {
-            match host.summary().edge_sign(c, b) {
+            match engine.summary().edge_sign(c, b) {
                 // Opposite sign: +1 and −1 cancelled before, so simply drop it.
                 Some(existing) if existing != sign => {
-                    host.remove_edge(c, b);
+                    engine.remove_pn_edge(c, b);
                 }
                 Some(_) => unreachable!("conflict guard"),
                 None => {
-                    host.set_edge(c, b, sign);
+                    engine.add_pn_edge(c, b, sign.weight() as i8);
                 }
             }
             // Newly promoted roots may themselves become eligible.
@@ -242,9 +203,9 @@ fn prune_step2_region<H: PruneHost>(host: &mut H, region: &mut Vec<SupernodeId>)
 /// one p/n-edge between their trees, re-encode the subedges between the two member
 /// sets with the flat-model optimum when that is strictly cheaper.  Returns the number
 /// of pairs re-encoded.
-pub fn prune_step3<H: PruneHost, G: AdjacencyList>(host: &mut H, graph: &G) -> usize {
-    let roots = all_roots(host);
-    prune_step3_region_flat(host, graph, &roots)
+pub fn prune_step3<G: AdjacencyList>(engine: &mut MergeEngine, graph: &G) -> usize {
+    let roots = all_roots(engine);
+    prune_step3_region_flat(engine, graph, &roots)
 }
 
 /// Root of `x` through a lazy arena-indexed memo (`SupernodeId::MAX` = not yet
@@ -294,12 +255,12 @@ fn memo_root_of(
 /// changes during the substep, and counting pair `(a, b)` fully from `a`'s
 /// member adjacency (`u < w` within the pair itself) counts every subedge
 /// between the two trees once.
-fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
-    host: &mut H,
+fn prune_step3_region_flat<G: AdjacencyList>(
+    engine: &mut MergeEngine,
     graph: &G,
     region: &[SupernodeId],
 ) -> usize {
-    let arena_len = host.summary().arena_len();
+    let arena_len = engine.summary().arena_len();
     let mut node_root: Vec<SupernodeId> = vec![SupernodeId::MAX; arena_len];
     let mut chain: Vec<SupernodeId> = Vec::new();
     // Dense partner index: arena-indexed slot table, reset between roots through
@@ -313,14 +274,14 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
     let mut tree: Vec<SupernodeId> = Vec::new();
     let mut reencoded = 0usize;
     for &a in region {
-        if !host.summary().is_root(a) {
+        if !engine.summary().is_root(a) {
             continue; // removed by an earlier substep of this pass
         }
         for &p in &partners_touched {
             partner_slot[p as usize] = u32::MAX;
         }
         partners_touched.clear();
-        let summary = host.summary();
+        let summary = engine.summary();
         // One depth-first scan over the tree's incident edges, bucketed by
         // partner root; edge-free nodes are passed over.
         tree.clear();
@@ -385,7 +346,7 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
         for &b in &partners {
             let slot = partner_slot[b as usize] as usize;
             let existing = partner_subedges[slot];
-            if flatten_pair_if_cheaper(host, graph, a, b, &partner_edges[slot], existing) {
+            if flatten_pair_if_cheaper(engine, graph, a, b, &partner_edges[slot], existing) {
                 reencoded += 1;
             }
         }
@@ -398,15 +359,15 @@ fn prune_step3_region_flat<H: PruneHost, G: AdjacencyList>(
 /// (`existing`), re-encode flat (sparse p-edges, or superedge + n-edges) when
 /// strictly cheaper.  Pairs above [`MAX_PAIR_PRODUCT`] are left as they are.
 /// Returns whether the pair was re-encoded.
-fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
-    host: &mut H,
+fn flatten_pair_if_cheaper<G: AdjacencyList>(
+    engine: &mut MergeEngine,
     graph: &G,
     root_a: SupernodeId,
     root_b: SupernodeId,
     edges: &[(SupernodeId, SupernodeId)],
     existing: usize,
 ) -> bool {
-    let summary = host.summary();
+    let summary = engine.summary();
     let size_a = summary.members(root_a).len();
     let size_b = summary.members(root_b).len();
     let total_pairs = if root_a == root_b {
@@ -426,21 +387,21 @@ fn flatten_pair_if_cheaper<H: PruneHost, G: AdjacencyList>(
     }
     // Remove the current encoding of this pair ...
     for &(x, y) in edges {
-        host.remove_edge(x, y);
+        engine.remove_pn_edge(x, y);
     }
     // ... and re-encode flat.
     if sparse_cost <= dense_cost {
         let mut pairs = Vec::new();
-        collect_subedges_between(host.summary(), graph, root_a, root_b, &mut pairs);
+        collect_subedges_between(engine.summary(), graph, root_a, root_b, &mut pairs);
         for (u, v) in pairs {
-            host.set_edge(u, v, EdgeSign::Positive);
+            engine.add_pn_edge(u, v, 1);
         }
     } else {
-        host.set_edge(root_a, root_b, EdgeSign::Positive);
+        engine.add_pn_edge(root_a, root_b, 1);
         let mut missing = Vec::new();
-        collect_missing_pairs_between(host.summary(), graph, root_a, root_b, &mut missing);
+        collect_missing_pairs_between(engine.summary(), graph, root_a, root_b, &mut missing);
         for (u, v) in missing {
-            host.set_edge(u, v, EdgeSign::Negative);
+            engine.add_pn_edge(u, v, -1);
         }
     }
     true
@@ -509,13 +470,13 @@ fn collect_missing_pairs_between<G: AdjacencyList>(
 /// Whole-summary pruning: [`prune_region`] with every current root as the
 /// region.  `rounds` passes of substeps 1 → 2 → 3 (the paper notes the substeps
 /// "can be repeated a few times"), stopping early once a pass changes nothing.
-pub fn prune_all<H: PruneHost, G: AdjacencyList>(
-    host: &mut H,
+pub fn prune_all<G: AdjacencyList>(
+    engine: &mut MergeEngine,
     graph: &G,
     rounds: usize,
 ) -> PruneReport {
-    let roots = all_roots(host);
-    prune_region(host, graph, &roots, rounds)
+    let roots = all_roots(engine);
+    prune_region(engine, graph, &roots, rounds)
 }
 
 /// Region-restricted pruning: `rounds` passes of substeps 1 → 2 → 3 over the trees
@@ -528,29 +489,29 @@ pub fn prune_all<H: PruneHost, G: AdjacencyList>(
 /// removed region root) join the region for the remaining substeps and rounds.
 /// Region ids that stop being roots are skipped, so the caller may pass a stale
 /// superset.
-pub fn prune_region<H: PruneHost, G: AdjacencyList>(
-    host: &mut H,
+pub fn prune_region<G: AdjacencyList>(
+    engine: &mut MergeEngine,
     graph: &G,
     region: &[SupernodeId],
     rounds: usize,
 ) -> PruneReport {
-    prune_region_rounds(host, region, rounds, |host, region| {
-        prune_step3_region_flat(host, graph, region)
+    prune_region_rounds(engine, region, rounds, |engine, region| {
+        prune_step3_region_flat(engine, graph, region)
     })
 }
 
 /// The round loop of [`prune_region`], with substep 3 passed in so this
 /// module's tests can drive the hash-map reference through the same rounds.
-fn prune_region_rounds<H: PruneHost>(
-    host: &mut H,
+fn prune_region_rounds(
+    engine: &mut MergeEngine,
     region: &[SupernodeId],
     rounds: usize,
-    mut step3: impl FnMut(&mut H, &[SupernodeId]) -> usize,
+    mut step3: impl FnMut(&mut MergeEngine, &[SupernodeId]) -> usize,
 ) -> PruneReport {
     let mut region: Vec<SupernodeId> = region
         .iter()
         .copied()
-        .filter(|&r| host.summary().is_root(r))
+        .filter(|&r| engine.summary().is_root(r))
         .collect();
     region.sort_unstable();
     region.dedup();
@@ -559,17 +520,17 @@ fn prune_region_rounds<H: PruneHost>(
         if region.is_empty() {
             break;
         }
-        let step1_removed = prune_step1_region(host, &mut region);
-        let step2_removed = prune_step2_region(host, &mut region);
+        let step1_removed = prune_step1_region(engine, &mut region);
+        let step2_removed = prune_step2_region(engine, &mut region);
         // Promoted children entered `region` unsorted; restore the deterministic
         // sorted visit order and drop stale ids before the pair stage.
-        region.retain(|&r| host.summary().is_root(r));
+        region.retain(|&r| engine.summary().is_root(r));
         region.sort_unstable();
         region.dedup();
         let pass = PruneReport {
             step1_removed,
             step2_removed,
-            step3_reencoded: step3(host, &region),
+            step3_reencoded: step3(engine, &region),
         };
         let changed = pass.total_changes() > 0;
         report.absorb(pass);
@@ -585,7 +546,7 @@ mod tests {
     use super::*;
     use crate::decode::verify_lossless;
     use crate::engine::MergeCtx;
-    use crate::engine::MergeEngine;
+    use crate::model::EdgeSign;
     use slugger_graph::hash::{FxHashMap, FxHashSet};
     use slugger_graph::Graph;
 
@@ -600,8 +561,8 @@ mod tests {
 
     /// The original hash-map bookkeeping of the region-restricted substep 3, kept
     /// as the reference [`prune_step3_region_flat`] must match pair for pair.
-    fn prune_step3_region<H: PruneHost, G: AdjacencyList>(
-        host: &mut H,
+    fn prune_step3_region<G: AdjacencyList>(
+        engine: &mut MergeEngine,
         graph: &G,
         region: &[SupernodeId],
     ) -> usize {
@@ -611,7 +572,7 @@ mod tests {
         let region_set: FxHashSet<SupernodeId> = region.iter().copied().collect();
         let mut subedge_count: FxHashMap<(SupernodeId, SupernodeId), usize> = FxHashMap::default();
         {
-            let summary = host.summary();
+            let summary = engine.summary();
             for &a in region {
                 if !summary.is_root(a) {
                     continue;
@@ -640,11 +601,11 @@ mod tests {
         let mut seen: FxHashSet<(SupernodeId, SupernodeId)> = FxHashSet::default();
         let mut incident: Vec<SupernodeId> = Vec::new();
         for &a in region {
-            if !host.summary().is_root(a) {
+            if !engine.summary().is_root(a) {
                 continue; // removed by an earlier substep of this pass
             }
             // One scan over the tree's incident edges, bucketed by partner root.
-            let summary = host.summary();
+            let summary = engine.summary();
             let mut by_partner: FxHashMap<SupernodeId, Vec<(SupernodeId, SupernodeId)>> =
                 FxHashMap::default();
             for x in summary.tree_supernodes(a) {
@@ -670,7 +631,7 @@ mod tests {
                 }
                 let edges = &by_partner[&b];
                 let existing = subedge_count.get(&key).copied().unwrap_or(0);
-                if flatten_pair_if_cheaper(host, graph, a, b, edges, existing) {
+                if flatten_pair_if_cheaper(engine, graph, a, b, edges, existing) {
                     reencoded += 1;
                 }
             }
@@ -686,11 +647,13 @@ mod tests {
         // Only the top supernode carries an edge; m01 is edge-free and prunable.
         s.set_edge(m, 3, EdgeSign::Positive);
         let cost_before = s.encoding_cost();
-        let removed = prune_step1(&mut s);
+        let mut engine = MergeEngine::from_summary(s);
+        let removed = prune_step1(&mut engine);
         assert_eq!(removed, 1);
+        let s = engine.summary();
         assert!(!s.is_alive(m01));
         assert!(s.encoding_cost() < cost_before);
-        s.validate().unwrap();
+        engine.validate().unwrap();
     }
 
     #[test]
@@ -698,8 +661,9 @@ mod tests {
         let mut s = HierarchicalSummary::identity(3);
         let m = s.merge_roots(0, 1);
         s.set_edge(m, 2, EdgeSign::Positive);
-        assert_eq!(prune_step1(&mut s), 0);
-        assert!(s.is_alive(m));
+        let mut engine = MergeEngine::from_summary(s);
+        assert_eq!(prune_step1(&mut engine), 0);
+        assert!(engine.summary().is_alive(m));
     }
 
     #[test]
@@ -712,11 +676,14 @@ mod tests {
         let graph = Graph::from_edges(3, vec![(0, 2), (1, 2)]);
         verify_lossless(&s, &graph).unwrap();
         let before = s.encoding_cost();
-        let removed = prune_step2(&mut s);
+        let mut engine = MergeEngine::from_summary(s);
+        let removed = prune_step2(&mut engine);
         assert_eq!(removed, 1);
+        let s = engine.summary();
         assert!(!s.is_alive(m));
         assert!(s.encoding_cost() < before);
-        verify_lossless(&s, &graph).unwrap();
+        verify_lossless(s, &graph).unwrap();
+        engine.validate().unwrap();
     }
 
     #[test]
@@ -729,12 +696,15 @@ mod tests {
         let graph = Graph::from_edges(3, vec![(1, 2)]);
         verify_lossless(&s, &graph).unwrap();
         // m has one incident edge? No: (m,2) only — (0,2) is incident to the leaf 0.
-        let removed = prune_step2(&mut s);
+        let mut engine = MergeEngine::from_summary(s);
+        let removed = prune_step2(&mut engine);
         assert_eq!(removed, 1);
         // After pushing down: the n-edge (0,2) cancels, leaving just p (1,2).
+        let s = engine.summary();
         assert_eq!(s.num_p_edges(), 1);
         assert_eq!(s.num_n_edges(), 0);
-        verify_lossless(&s, &graph).unwrap();
+        verify_lossless(s, &graph).unwrap();
+        engine.validate().unwrap();
     }
 
     #[test]
@@ -743,8 +713,9 @@ mod tests {
         let m = s.merge_roots(0, 1);
         s.set_edge(m, 2, EdgeSign::Positive);
         s.set_edge(m, 3, EdgeSign::Positive);
-        assert_eq!(prune_step2(&mut s), 0);
-        assert!(s.is_alive(m));
+        let mut engine = MergeEngine::from_summary(s);
+        assert_eq!(prune_step2(&mut engine), 0);
+        assert!(engine.summary().is_alive(m));
     }
 
     #[test]
@@ -762,12 +733,15 @@ mod tests {
         s.set_edge(1, 3, EdgeSign::Negative);
         verify_lossless(&s, &graph).unwrap();
         let before = s.num_p_edges() + s.num_n_edges();
-        let changed = prune_step3(&mut s, &graph);
+        let mut engine = MergeEngine::from_summary(s);
+        let changed = prune_step3(&mut engine, &graph);
         assert_eq!(changed, 1);
+        let s = engine.summary();
         let after = s.num_p_edges() + s.num_n_edges();
         assert!(after < before, "{after} !< {before}");
         assert_eq!(after, 1);
-        verify_lossless(&s, &graph).unwrap();
+        verify_lossless(s, &graph).unwrap();
+        engine.validate().unwrap();
     }
 
     #[test]
@@ -784,13 +758,16 @@ mod tests {
         s.set_edge(0, 3, EdgeSign::Positive);
         s.set_edge(1, 2, EdgeSign::Positive);
         verify_lossless(&s, &graph).unwrap();
-        let changed = prune_step3(&mut s, &graph);
+        let mut engine = MergeEngine::from_summary(s);
+        let changed = prune_step3(&mut engine, &graph);
         // Sparse cost (3) == current cost (3): nothing to do; dense cost is 2 via
         // superedge + n-edge, which IS cheaper, so the pair must be re-encoded.
         assert_eq!(changed, 1);
+        let s = engine.summary();
         assert_eq!(s.num_p_edges() + s.num_n_edges(), 2);
         assert_eq!(s.edge_sign(a, b), Some(EdgeSign::Positive));
-        verify_lossless(&s, &graph).unwrap();
+        verify_lossless(s, &graph).unwrap();
+        engine.validate().unwrap();
     }
 
     /// Eight nodes, two of them hubs over a merged 4-node tree: real engine
@@ -847,29 +824,31 @@ mod tests {
     fn full_pruning_preserves_losslessness_after_real_merges() {
         // Run real merges through the engine, then prune, and confirm the decoded
         // graph never changes.
-        let (graph, engine) = hub_fixture();
-        let mut summary = engine.into_summary();
-        verify_lossless(&summary, &graph).unwrap();
-        let report = prune_all(&mut summary, &graph, 3);
+        let (graph, mut engine) = hub_fixture();
+        verify_lossless(engine.summary(), &graph).unwrap();
+        let report = prune_all(&mut engine, &graph, 3);
+        let summary = engine.summary();
         assert!(report.total_changes() > 0 || summary.encoding_cost() <= graph.num_edges());
-        verify_lossless(&summary, &graph).unwrap();
-        summary.validate().unwrap();
+        verify_lossless(summary, &graph).unwrap();
+        engine.validate().unwrap();
     }
 
     #[test]
-    fn engine_hosted_prune_matches_bare_summary_prune() {
-        // The same substeps on the same state must produce the identical summary
-        // whether the host is a bare summary or the live engine — and the engine's
-        // bookkeeping must stay exact afterwards.
-        for (graph, mut engine) in [hub_fixture(), caveman_fixture()] {
-            let mut snapshot = engine.summary().clone();
-            let report_summary = prune_all(&mut snapshot, &graph, 3);
-            let report_engine = prune_all(&mut engine, &graph, 3);
-            assert!(report_engine.total_changes() > 0, "fixture must prune");
-            assert_eq!(report_summary, report_engine);
-            engine.validate().unwrap();
-            verify_lossless(engine.summary(), &graph).unwrap();
-            assert_summaries_identical(engine.summary(), &snapshot);
+    fn live_engine_prune_matches_a_rebuilt_engine_prune() {
+        // `Slugger::summarize` prunes the engine its merges left behind; a caller
+        // with a bare summary prunes an engine rebuilt around it.  Both must
+        // produce the identical summary, with exact engine bookkeeping after.
+        for (graph, mut live) in [hub_fixture(), caveman_fixture()] {
+            let mut rebuilt = MergeEngine::from_summary(live.summary().clone());
+            let report_live = prune_all(&mut live, &graph, 3);
+            let report_rebuilt = prune_all(&mut rebuilt, &graph, 3);
+            assert!(report_live.total_changes() > 0, "fixture must prune");
+            assert_eq!(report_live, report_rebuilt);
+            assert_summaries_identical(live.summary(), rebuilt.summary());
+            for engine in [&live, &rebuilt] {
+                engine.validate().unwrap();
+                verify_lossless(engine.summary(), &graph).unwrap();
+            }
         }
     }
 
@@ -892,17 +871,18 @@ mod tests {
         s.set_edge(5, 6, EdgeSign::Negative);
         s.set_edge(5, 7, EdgeSign::Negative);
         verify_lossless(&s, &graph).unwrap();
-        let report = prune_region(&mut s, &graph, &[a], 3);
+        let mut engine = MergeEngine::from_summary(s);
+        let report = prune_region(&mut engine, &graph, &[a], 3);
         assert!(report.total_changes() > 0);
-        verify_lossless(&s, &graph).unwrap();
+        verify_lossless(engine.summary(), &graph).unwrap();
         // The (c, d) pair kept its wasteful encoding: the region never reached it.
-        assert_eq!(s.edge_sign(c, d), Some(EdgeSign::Positive));
+        assert_eq!(engine.summary().edge_sign(c, d), Some(EdgeSign::Positive));
         // A region prune of `[c, d]` afterwards cleans it up.
-        let report = prune_region(&mut s, &graph, &[c, d], 3);
+        let report = prune_region(&mut engine, &graph, &[c, d], 3);
         assert!(report.total_changes() > 0);
-        assert_eq!(s.edge_sign(c, d), None);
-        verify_lossless(&s, &graph).unwrap();
-        s.validate().unwrap();
+        assert_eq!(engine.summary().edge_sign(c, d), None);
+        verify_lossless(engine.summary(), &graph).unwrap();
+        engine.validate().unwrap();
     }
 
     /// Byte-level comparison of two summaries (arena structure + p/n-edges).
@@ -931,11 +911,11 @@ mod tests {
         // subedge counting rules.
         let sub: Vec<SupernodeId> = roots.iter().copied().step_by(3).collect();
         for (region, full) in [(&roots, true), (&sub, false)] {
-            let mut flat = base.clone();
-            let mut hash = base.clone();
+            let mut flat = MergeEngine::from_summary(base.clone());
+            let mut hash = MergeEngine::from_summary(base.clone());
             let report_flat = prune_region(&mut flat, &graph, region, 3);
-            let report_hash = prune_region_rounds(&mut hash, region, 3, |host, region| {
-                prune_step3_region(host, &graph, region)
+            let report_hash = prune_region_rounds(&mut hash, region, 3, |engine, region| {
+                prune_step3_region(engine, &graph, region)
             });
             assert_eq!(report_flat, report_hash);
             if full {
@@ -944,8 +924,8 @@ mod tests {
                     "fixture must exercise pruning"
                 );
             }
-            assert_summaries_identical(&flat, &hash);
-            verify_lossless(&flat, &graph).unwrap();
+            assert_summaries_identical(flat.summary(), hash.summary());
+            verify_lossless(flat.summary(), &graph).unwrap();
         }
     }
 }

@@ -207,14 +207,14 @@ impl Slugger {
             });
         }
 
-        let mut summary = engine.into_summary();
         let stage_start = std::time::Instant::now();
         let prune_report = if config.pruning_rounds > 0 {
-            prune_all(&mut summary, graph, config.pruning_rounds)
+            prune_all(&mut engine, graph, config.pruning_rounds)
         } else {
             PruneReport::default()
         };
         stages.prune = stage_start.elapsed();
+        let summary = engine.into_summary();
         let metrics = SummaryMetrics::compute(&summary, graph.num_edges());
         SluggerOutcome {
             summary,

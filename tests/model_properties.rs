@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use slugger::baselines::{FlatSummary, Grouping};
 use slugger::core::decode::{decode_full, verify_lossless};
+use slugger::core::engine::MergeEngine;
 use slugger::core::prune::{prune_step1, prune_step2, prune_step3};
 use slugger::core::{EdgeSign, HierarchicalSummary};
 use slugger::prelude::*;
@@ -51,27 +52,32 @@ proptest! {
 
     #[test]
     fn pruning_substeps_never_change_the_decoded_graph((graph, merges) in graph_and_merges()) {
-        let mut summary = build_summary(&graph, &merges);
-        let before = decode_full(&summary);
-        prune_step1(&mut summary);
-        prop_assert_eq!(decode_full(&summary).edge_set(), before.edge_set());
-        prune_step2(&mut summary);
-        prop_assert_eq!(decode_full(&summary).edge_set(), before.edge_set());
-        prune_step3(&mut summary, &graph);
-        prop_assert_eq!(decode_full(&summary).edge_set(), before.edge_set());
-        prop_assert!(summary.validate().is_ok());
+        let mut engine = MergeEngine::from_summary(build_summary(&graph, &merges));
+        let before = decode_full(engine.summary()).edge_set();
+        prune_step1(&mut engine);
+        prop_assert!(engine.validate().is_ok());
+        prop_assert_eq!(decode_full(engine.summary()).edge_set(), before.clone());
+        prune_step2(&mut engine);
+        prop_assert!(engine.validate().is_ok());
+        prop_assert_eq!(decode_full(engine.summary()).edge_set(), before.clone());
+        prune_step3(&mut engine, &graph);
+        prop_assert!(engine.validate().is_ok());
+        prop_assert_eq!(decode_full(engine.summary()).edge_set(), before);
     }
 
     #[test]
     fn pruning_substeps_never_increase_the_cost((graph, merges) in graph_and_merges()) {
-        let mut summary = build_summary(&graph, &merges);
-        let c0 = summary.encoding_cost();
-        prune_step1(&mut summary);
-        let c1 = summary.encoding_cost();
-        prune_step2(&mut summary);
-        let c2 = summary.encoding_cost();
-        prune_step3(&mut summary, &graph);
-        let c3 = summary.encoding_cost();
+        let mut engine = MergeEngine::from_summary(build_summary(&graph, &merges));
+        let c0 = engine.summary().encoding_cost();
+        prune_step1(&mut engine);
+        prop_assert!(engine.validate().is_ok());
+        let c1 = engine.summary().encoding_cost();
+        prune_step2(&mut engine);
+        prop_assert!(engine.validate().is_ok());
+        let c2 = engine.summary().encoding_cost();
+        prune_step3(&mut engine, &graph);
+        prop_assert!(engine.validate().is_ok());
+        let c3 = engine.summary().encoding_cost();
         prop_assert!(c1 <= c0 && c2 <= c1 && c3 <= c2, "costs {c0} -> {c1} -> {c2} -> {c3}");
     }
 

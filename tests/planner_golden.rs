@@ -10,6 +10,7 @@
 //! exactly as it was.  If a change alters the algorithm on purpose, re-record
 //! the numbers and say so in the change description.
 
+use slugger::core::engine::MergeEngine;
 use slugger::core::incremental::{IncrementalConfig, IncrementalSummarizer};
 use slugger::core::prune::{prune_all, prune_step1, prune_step2, prune_step3, PruneReport};
 use slugger::datasets::{dataset, DatasetKey};
@@ -54,17 +55,17 @@ fn prune_numbers(graph: &Graph) -> ([usize; 3], PruneReport) {
     })
     .summarize(graph)
     .summary;
-    let mut stepped = unpruned.clone();
+    let mut stepped = MergeEngine::from_summary(unpruned.clone());
     prune_step1(&mut stepped);
-    let after1 = stepped.encoding_cost();
+    let after1 = stepped.summary().encoding_cost();
     prune_step2(&mut stepped);
-    let after2 = stepped.encoding_cost();
+    let after2 = stepped.summary().encoding_cost();
     prune_step3(&mut stepped, graph);
-    let after3 = stepped.encoding_cost();
-    verify_lossless(&stepped, graph).unwrap();
-    let mut pruned = unpruned;
+    let after3 = stepped.summary().encoding_cost();
+    verify_lossless(stepped.summary(), graph).unwrap();
+    let mut pruned = MergeEngine::from_summary(unpruned);
     let report = prune_all(&mut pruned, graph, 2);
-    verify_lossless(&pruned, graph).unwrap();
+    verify_lossless(pruned.summary(), graph).unwrap();
     ([after1, after2, after3], report)
 }
 
